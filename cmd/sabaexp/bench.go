@@ -94,12 +94,10 @@ func buildBenchSuite() ([]benchEntry, error) {
 			_, err := experiments.Fig10(experiments.ScaleConfig{})
 			return err
 		}},
-		// The same workload on the sharded engine (one event loop per
-		// pod). Note the metering difference: the serial loop counts one
-		// event per step even when a step drains several completions,
-		// while the sharded barrier rounds count every completion and
-		// timer they apply — so events/sec is comparable across runs of
-		// the same cell but not across the serial/sharded pair.
+		// The same workload with one engine shard per pod. Both cells
+		// meter netsim.events the same way (completions retired plus
+		// timers fired, minimum one per barrier round), so they report
+		// the same events/op and their events/sec compare directly.
 		{name: "Fig10AtScale/sharded", fn: func() error {
 			_, err := experiments.Fig10(experiments.ScaleConfig{EngineShards: -1})
 			return err

@@ -30,7 +30,7 @@ func main() {
 	setups := flag.Int("setups", 25, "cluster setups for fig 8 (paper: 500)")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "experiment seed")
 	full := flag.Bool("full", false, "paper-scale parameters for the simulation studies")
-	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, 1 = serial legacy path, n >= 2 = n shards")
+	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, n >= 1 = n shards (results are identical at any setting)")
 	out := flag.String("out", "", "directory for CSV outputs (fig 2)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for independent experiment cells; 1 forces serial execution (results are identical at any setting)")
 	showMetrics := flag.Bool("metrics", false, "print the final telemetry snapshot as JSON")
@@ -125,17 +125,13 @@ func printMetrics() error {
 }
 
 // engineShards maps the CLI -shards convention (0 = one shard per pod,
-// 1 = serial legacy path, n >= 2 = n shards) onto the internal
-// EngineShards convention (0 = serial, -1 = per-pod).
+// n >= 1 = n shards) onto the internal EngineShards convention
+// (-1 = per-pod).
 func engineShards(cli int) int {
-	switch cli {
-	case 0:
+	if cli == 0 {
 		return -1
-	case 1:
-		return 0
-	default:
-		return cli
 	}
+	return cli
 }
 
 func run(fig string, setups int, seed int64, full bool, out string, shards int, shardsSet bool) error {
@@ -189,7 +185,7 @@ func run(fig string, setups int, seed int64, full bool, out string, shards int, 
 			return show(r, err)
 		}},
 		{"hyperscale", func() error {
-			// The sharded engine is the point of this figure: default to
+			// Per-pod shards are the point of this figure: default to
 			// one shard per pod unless an explicit -shards was given.
 			cfg := experiments.HyperscaleConfig{Seed: seed, Shards: shards}
 			if !shardsSet {

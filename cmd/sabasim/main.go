@@ -37,7 +37,7 @@ func main() {
 	compare := flag.String("compare", "", "also run this policy and report speedups")
 	seed := flag.Int64("seed", 1, "scenario seed")
 	queues := flag.Int("queues", 8, "per-port queues")
-	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, 1 = serial legacy path, n >= 2 = n shards")
+	shards := flag.Int("shards", 1, "simulation engine event-loop shards: 0 = one shard per pod, n >= 1 = n shards (results are identical at any setting)")
 	showMetrics := flag.Bool("metrics", false, "print the final telemetry snapshot as JSON")
 	flag.Parse()
 
@@ -73,17 +73,13 @@ func policyNames() []string {
 }
 
 // engineShards maps the CLI -shards convention (0 = one shard per pod,
-// 1 = serial legacy path, n >= 2 = n shards) onto the internal
-// core.RunConfig.EngineShards convention (0 = serial, -1 = per-pod).
+// n >= 1 = n shards) onto the internal core.RunConfig.EngineShards
+// convention (-1 = per-pod).
 func engineShards(cli int) int {
-	switch cli {
-	case 0:
+	if cli == 0 {
 		return -1
-	case 1:
-		return 0
-	default:
-		return cli
 	}
+	return cli
 }
 
 func run(hosts, jobCount int, policyName, compareName string, seed int64, queues, shards int) error {

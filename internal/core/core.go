@@ -82,11 +82,11 @@ type RunConfig struct {
 	CSaba float64
 	// Shards is the distributed-controller shard count; 0 → 4.
 	Shards int
-	// EngineShards selects the simulation engine's event-loop sharding
-	// (netsim.Engine.SetShards): 0 keeps the serial legacy path, -1
-	// derives one shard per fabric partition (pod), and n >= 2 uses n
-	// shards. Distinct from Shards, which shards the distributed
-	// controller mesh, not the simulator.
+	// EngineShards selects the simulation engine's event-loop shard
+	// count (netsim.Engine.SetShards): 0 and 1 run one shard, -1 derives
+	// one shard per fabric partition (pod), and n >= 2 uses n shards.
+	// Every count yields identical completions. Distinct from Shards,
+	// which shards the distributed controller mesh, not the simulator.
 	EngineShards int
 	// FECNEfficiency tunes the baseline's congested-link utilization;
 	// 0 → netsim.DefaultFECNEfficiency.
@@ -106,11 +106,6 @@ type RunConfig struct {
 	Horizon float64
 	// Seed drives the controller's clustering determinism.
 	Seed int64
-	// FullRecompute disables the engine's scoped (dirty-component) rate
-	// recomputation, forcing a global allocator pass after every change —
-	// the escape hatch for validating the incremental path against the
-	// reference behavior.
-	FullRecompute bool
 	// BeforeRun, when set, is invoked on the fully assembled engine just
 	// before the simulation starts — the hook churn experiments use to
 	// install fault schedules (faults.InstallLinkFlaps).
@@ -223,7 +218,6 @@ func RunJobs(top *topology.Topology, jobs []JobSpec, cfg RunConfig) (Result, err
 	}
 
 	e := netsim.NewEngine(net, alloc)
-	e.SetFullRecompute(cfg.FullRecompute)
 	e.SetShards(cfg.EngineShards)
 	res := Result{Policy: cfg.Policy, Completions: make([]float64, len(jobs))}
 

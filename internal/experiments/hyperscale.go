@@ -33,12 +33,12 @@ type HyperscaleConfig struct {
 	CrossPod float64
 	Seed     int64
 	// Shards selects the engine sharding: 0 → one shard per pod (the
-	// default this figure exists to exercise), 1 → the serial engine,
-	// n ≥ 2 → n shards.
+	// default this figure exists to exercise), 1 → one shard, n ≥ 2 → n
+	// shards.
 	Shards int
-	// CompareSerial additionally replays the identical workload on the
-	// serial engine and checks the completion digests match bit-for-bit.
-	// Off by default: it roughly doubles the run time.
+	// CompareSerial additionally replays the identical workload on a
+	// one-shard engine and checks the completion digests match
+	// bit-for-bit. Off by default: it roughly doubles the run time.
 	CompareSerial bool
 }
 
@@ -86,18 +86,17 @@ type HyperscaleResult struct {
 	Makespan            float64 // virtual seconds
 	WallSecs            float64
 	EventsPerSec        float64
-	// Serial comparison (zero / false unless CompareSerial was set).
+	// One-shard comparison (zero / false unless CompareSerial was set).
 	SerialWallSecs float64
 	Speedup        float64
 	DigestMatch    bool
 }
 
 // FigHyperscale builds a 10k+ host fabric and pushes pod-local flow
-// waves through the sharded engine. It exists to demonstrate — and
-// gate in CI — that the engine completes at a scale the serial path
-// was never exercised at, and (with CompareSerial) that sharding does
-// not change a single completion time even with hundreds of thousands
-// of flows in play.
+// waves through the per-pod shards. It exists to demonstrate — and gate
+// in CI — that the engine completes at this scale, and (with
+// CompareSerial) that the shard count does not change a single
+// completion time even with hundreds of thousands of flows in play.
 func FigHyperscale(cfg HyperscaleConfig) (*HyperscaleResult, error) {
 	cfg.fill()
 	top, err := topology.NewSpineLeaf(cfg.Topology)
@@ -156,8 +155,8 @@ func shardCount(shards int, part *topology.Partition) int {
 }
 
 // runHyperscale replays the seeded workload once on a fresh network.
-// The admission schedule is a pure function of the seed, so serial and
-// sharded passes see byte-identical flow sequences.
+// The admission schedule is a pure function of the seed, so one-shard
+// and per-pod passes see byte-identical flow sequences.
 func runHyperscale(top *topology.Topology, cfg HyperscaleConfig, shards int) (hyperRun, error) {
 	// Event throughput is measured as a before/after delta on the
 	// process-wide registry's event counter — the same counter the bench
@@ -166,13 +165,11 @@ func runHyperscale(top *topology.Topology, cfg HyperscaleConfig, shards int) (hy
 	events := telemetry.Default.Counter("netsim.events")
 	net := netsim.NewNetwork(top)
 	e := netsim.NewEngine(net, netsim.NewIdealMaxMin(net))
-	if shards > 1 || shards < 0 {
-		e.SetShards(shards)
-	}
+	e.SetShards(shards)
 	// The digest callback reads only e.Now() and folds into run-local
-	// state, so the sharded engine may retire pod-local completions in
-	// lookahead windows (the callbacks still fire in serial order at
-	// serial virtual times).
+	// state, so the engine may retire pod-local completions in
+	// lookahead windows (the callbacks still fire in order at their
+	// exact virtual times).
 	e.SetPureCallbacks(true)
 	part := top.Partition()
 	pods := part.NumParts()
@@ -180,8 +177,8 @@ func runHyperscale(top *topology.Topology, cfg HyperscaleConfig, shards int) (hy
 	var run hyperRun
 	// Completion digest: FNV-style fold over (flow id, completion time)
 	// in callback order. Callback order is part of the engine's
-	// determinism contract, so serial and sharded digests must collide
-	// exactly or not at all.
+	// determinism contract, so digests at any two shard counts must
+	// collide exactly or not at all.
 	run.digest = 14695981039346656037
 	record := func(e *netsim.Engine, id netsim.FlowID) {
 		run.completed++
@@ -247,7 +244,7 @@ func (r *HyperscaleResult) String() string {
 	fmt.Fprintf(&b, "flows=%d completed=%d makespan=%.4fs\n", r.Flows, r.Completed, r.Makespan)
 	fmt.Fprintf(&b, "wall=%.2fs events/s=%.0f\n", r.WallSecs, r.EventsPerSec)
 	if r.SerialWallSecs > 0 {
-		fmt.Fprintf(&b, "serial wall=%.2fs speedup=%.2fx digest-match=%v\n",
+		fmt.Fprintf(&b, "one-shard wall=%.2fs speedup=%.2fx digest-match=%v\n",
 			r.SerialWallSecs, r.Speedup, r.DigestMatch)
 	}
 	return b.String()

@@ -29,13 +29,13 @@ type Allocator interface {
 
 // ShardableAllocator marks disciplines whose AllocateScoped may run
 // concurrently on disjoint link-connected components — the property the
-// sharded engine exploits to allocate per-pod dirty sets in parallel.
+// engine exploits to allocate per-pod dirty sets in parallel.
 // ShardClone returns an allocator that shares this one's configuration
-// (weights, objectives, port tables — state mutated only from serial
-// engine phases) but owns all scratch and caches, or nil when the
-// current configuration cannot be sharded (e.g. Decentral with a
-// telemetry channel attached, whose publish sequence must match the
-// serial run exactly). Globally-coupled disciplines (Homa, Sincronia)
+// (weights, objectives, port tables — state mutated only from the
+// engine's coordinator phases) but owns all scratch and caches, or nil
+// when the current configuration cannot be sharded (e.g. Decentral with
+// a telemetry channel attached, whose publish sequence must not depend
+// on the shard count). Globally-coupled disciplines (Homa, Sincronia)
 // simply do not implement the interface.
 type ShardableAllocator interface {
 	Allocator

@@ -347,8 +347,9 @@ func (d *Decentral) Heartbeat(net *Network, now float64) {
 // caches, per-link solution state and run scratch are owned, and
 // the plain Stats() counters stay clone-local (only the parent's are
 // reported). With a telemetry channel attached the allocator is not
-// shardable — the per-recompute publish sequence must match the serial
-// run — so ShardClone returns nil and the engine keeps the union path.
+// shardable — the per-recompute publish sequence must not depend on the
+// shard count — so ShardClone returns nil and the engine keeps the union
+// path.
 func (d *Decentral) ShardClone() Allocator {
 	if d.channel != nil {
 		return nil

@@ -11,11 +11,12 @@ import (
 	"saba/internal/topology"
 )
 
-// The differential test is the gate on the incremental engine: for every
-// allocator, a seeded random workload — batched admissions, cancels, and
-// (for WFQ) mid-run reconfigurations — must produce bit-for-bit identical
-// completion times whether rates are recomputed globally after every
-// change (SetFullRecompute(true)) or scoped to the dirty component.
+// The differential gates hold the engine to the reference engine
+// (reference_test.go): for every allocator, a seeded random workload —
+// batched admissions, cancels, and (for WFQ) mid-run reconfigurations,
+// optionally under a link-flap schedule — must produce bit-for-bit the
+// reference's completion times at every shard count, with the invariant
+// audit clean on both sides.
 
 func diffFabric(t testing.TB) *topology.Topology {
 	t.Helper()
@@ -78,40 +79,28 @@ func configureWFQPorts(w *WFQ, net *Network, round int) {
 	}
 }
 
-// runDifferential drives one seeded scenario and returns the completion
-// time of every admission (-1 when cancelled), in admission order.
-func runDifferential(t *testing.T, name string, seed int64, full bool, reg *telemetry.Registry) []float64 {
-	return runDifferentialScenario(t, name, seed, full, reg, false, 0)
+// scenario layers optional stress onto the differential workload.
+type scenario struct {
+	flaps bool // a seeded link-flap schedule (see faults_test.go)
+	// fullEvery, when positive, marks every rate dirty at this virtual
+	// period, forcing the engine's full-recompute path.
+	fullEvery float64
 }
 
-// runDifferentialScenario is runDifferential with an optional seeded
-// link-flap schedule layered on top (see faults_test.go) and an engine
-// shard count (0 = serial path, -1 = one shard per pod; see shard.go).
-func runDifferentialScenario(t *testing.T, name string, seed int64, full bool, reg *telemetry.Registry, withFlaps bool, shards int) []float64 {
+// runDifferentialScenario drives one seeded scenario on the target and
+// returns the completion time of every admission (-1 when cancelled), in
+// admission order.
+func runDifferentialScenario(t testing.TB, tg target, name string, seed int64, sc scenario) runOut {
 	t.Helper()
 	top := diffFabric(t)
 	net := NewNetwork(top)
+	reg := telemetry.NewRegistry()
 	alloc := diffAllocator(name, net, reg)
-	e := NewEngine(net, alloc)
-	e.SetTelemetry(reg)
-	e.SetFullRecompute(full)
-	e.SetShards(shards)
-	// The record callback only reads e.Now() and writes scenario-local
-	// slices, so the sharded runs may use lookahead windows.
-	e.SetPureCallbacks(true)
+	d, audit := tg.start(net, alloc, reg)
+	rc := newRecorder(d, audit, reg)
 
 	rng := rand.New(rand.NewSource(seed))
 	hosts := top.Hosts()
-
-	var (
-		done   []float64 // per admission index; -1 = still open / cancelled
-		ids    []FlowID  // per admission index
-		idxOf  = map[FlowID]int{}
-		record = func(e *Engine, id FlowID) {
-			done[idxOf[id]] = e.Now()
-		}
-	)
-
 	const waves = 30
 	for w := 0; w < waves; w++ {
 		at := float64(w) * 0.37
@@ -140,34 +129,35 @@ func runDifferentialScenario(t *testing.T, name string, seed int64, full bool, r
 				Coflow: coflow,
 			}
 		}
-		if err := e.At(at, func(e *Engine) {
-			newIDs, err := e.AddFlows(specs, record)
-			if err != nil {
-				panic(err)
-			}
-			for _, id := range newIDs {
-				idxOf[id] = len(ids)
-				ids = append(ids, id)
-				done = append(done, -1)
-			}
-		}); err != nil {
+		if err := rc.admit(at, specs); err != nil {
 			t.Fatal(err)
 		}
 		if w%5 == 2 {
-			// Cancel a pseudo-random earlier admission; a no-op error when
-			// it already completed (identically in both modes, since the
-			// rate histories must match).
+			// Cancel a pseudo-random earlier admission; a no-op when it
+			// already completed.
 			victim := rng.Intn((w + 1) * 3)
-			if err := e.At(at+0.11, func(e *Engine) {
-				if victim < len(ids) && done[victim] < 0 {
-					_ = e.CancelFlow(ids[victim])
-				}
-			}); err != nil {
+			if err := d.At(at+0.11, func() { rc.cancel(victim) }); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if withFlaps {
+	// Bursts of identical flows on one path share it equally and finish
+	// in the same step, so the gates also pin the completion order
+	// within a step and the FlowID recycling that follows it. A separate
+	// RNG keeps the admission sequence above unchanged.
+	brng := rand.New(rand.NewSource(seed ^ 0xb0057))
+	for b := 0; b < 4; b++ {
+		src := hosts[brng.Intn(len(hosts))]
+		dst := hosts[brng.Intn(len(hosts))]
+		for dst == src {
+			dst = hosts[brng.Intn(len(hosts))]
+		}
+		spec := FlowSpec{Src: src, Dst: dst, Bits: float64((1 + brng.Intn(2000)) * 64), App: AppID(b), PL: b}
+		if err := rc.admit(0.5+2.3*float64(b), []FlowSpec{spec, spec, spec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sc.flaps {
 		// Layer a seeded link-flap schedule over the workload: both
 		// directions of a pseudo-random core (switch-to-switch) cable go
 		// down and come back while admissions and cancels keep arriving.
@@ -178,15 +168,15 @@ func runDifferentialScenario(t *testing.T, name string, seed int64, full bool, r
 		for w := 0; w < 6; w++ {
 			at := 1.3 + 1.6*float64(w)
 			cable := cables[frng.Intn(len(cables))]
-			if err := e.At(at, func(e *Engine) {
-				if err := e.FailLinks(cable...); err != nil {
+			if err := d.At(at, func() {
+				if err := d.FailLinks(cable...); err != nil {
 					panic(err)
 				}
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.At(at+0.7, func(e *Engine) {
-				if err := e.RestoreLinks(cable...); err != nil {
+			if err := d.At(at+0.7, func() {
+				if err := d.RestoreLinks(cable...); err != nil {
 					panic(err)
 				}
 			}); err != nil {
@@ -197,49 +187,71 @@ func runDifferentialScenario(t *testing.T, name string, seed int64, full bool, r
 	if name == "wfq" {
 		// Reconfigure every port mid-run, as the controller does when the
 		// application mix shifts, and invalidate all rates.
-		if err := e.At(15*0.37+0.05, func(e *Engine) {
+		if err := d.At(15*0.37+0.05, func() {
 			configureWFQPorts(alloc.(*WFQ), net, 1)
-			e.MarkDirty()
+			d.MarkDirty()
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Run(math.Inf(1)); err != nil {
-		t.Fatalf("%s seed %d full=%v: %v", name, seed, full, err)
+	if sc.fullEvery > 0 {
+		for at := sc.fullEvery; at < waves*0.37; at += sc.fullEvery {
+			if err := d.At(at, func() { d.MarkDirty() }); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	return done
+	if err := d.Run(math.Inf(1)); err != nil {
+		t.Fatalf("%s seed %d %v: %v", name, seed, tg, err)
+	}
+	return rc.out
 }
 
+// allocators are the six disciplines every differential gate covers;
+// scopable marks those that accept AllocateScoped (the rest decline and
+// are re-rated globally).
+var (
+	allocators = []string{"ideal-maxmin", "fecn", "wfq", "homa", "sincronia", "decentral"}
+	scopable   = map[string]bool{"ideal-maxmin": true, "fecn": true, "wfq": true, "decentral": true}
+)
+
+// diffAgainstReference runs the scenario on the reference and on the
+// engine at every shard count, and fails the test on any completion
+// that differs bit for bit or any audit violation. It returns the
+// engine runs in shardTargets order.
+func diffAgainstReference(t *testing.T, name string, seed int64, sc scenario) []runOut {
+	t.Helper()
+	want := runDifferentialScenario(t, reference, name, seed, sc)
+	want.audit.check(t, fmt.Sprintf("%s seed %d reference", name, seed))
+	var outs []runOut
+	for _, tg := range shardTargets(diffFabric(t)) {
+		got := runDifferentialScenario(t, tg, name, seed, sc)
+		ctx := fmt.Sprintf("%s seed %d %v", name, seed, tg)
+		got.audit.check(t, ctx)
+		assertSameRun(t, ctx, want, got)
+		outs = append(outs, got)
+	}
+	return outs
+}
+
+// TestDifferentialScopedMatchesFull: the engine's scoped recomputes
+// (dirty components only) must match the reference, which re-rates the
+// whole network at every change. Scopable disciplines must actually
+// scope; the others must never report a scoped recompute.
 func TestDifferentialScopedMatchesFull(t *testing.T) {
-	allocators := []string{"ideal-maxmin", "fecn", "wfq", "homa", "sincronia", "decentral"}
-	scopable := map[string]bool{"ideal-maxmin": true, "fecn": true, "wfq": true, "decentral": true}
 	for _, name := range allocators {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			scopedEngaged := false
 			for seed := int64(1); seed <= 5; seed++ {
-				fullReg := telemetry.NewRegistry()
-				scopedReg := telemetry.NewRegistry()
-				want := runDifferential(t, name, seed, true, fullReg)
-				got := runDifferential(t, name, seed, false, scopedReg)
-				if len(want) != len(got) {
-					t.Fatalf("seed %d: admission counts differ: full %d, scoped %d", seed, len(want), len(got))
-				}
-				for i := range want {
-					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-						t.Errorf("seed %d admission %d: completion %v (full) vs %v (scoped); diff %g",
-							seed, i, want[i], got[i], got[i]-want[i])
+				for _, out := range diffAgainstReference(t, name, seed, scenario{}) {
+					if out.reg.Counter("netsim.scoped_recomputes").Value() > 0 {
+						scopedEngaged = true
 					}
-				}
-				if fullReg.Counter("netsim.scoped_recomputes").Value() != 0 {
-					t.Errorf("seed %d: full mode performed scoped recomputes", seed)
-				}
-				if scopedReg.Counter("netsim.scoped_recomputes").Value() > 0 {
-					scopedEngaged = true
 				}
 			}
 			if scopable[name] && !scopedEngaged {
-				t.Errorf("%s: scoped mode never performed a scoped recompute", name)
+				t.Errorf("%s: the engine never performed a scoped recompute", name)
 			}
 			if !scopable[name] && scopedEngaged {
 				t.Errorf("%s: non-scopable allocator reported scoped recomputes", name)
@@ -248,11 +260,10 @@ func TestDifferentialScopedMatchesFull(t *testing.T) {
 	}
 }
 
-// TestDifferentialExample documents the shape of the gate for one seed so
-// failures print a digestible vector, and exercises fmt in the helper.
+// TestDifferentialCompletionVectorNonTrivial guards the scenario's
+// shape: most admissions must complete, or the gates compare little.
 func TestDifferentialCompletionVectorNonTrivial(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	done := runDifferential(t, "ideal-maxmin", 1, false, reg)
+	done := runDifferentialScenario(t, reference, "ideal-maxmin", 1, scenario{}).done
 	completed := 0
 	for _, d := range done {
 		if d >= 0 {

@@ -96,17 +96,21 @@ func (m *engineMetrics) utilGauges(alloc string) (max, mean *telemetry.Gauge) {
 // recomputing flow rates (whenever the flow set changes) and advancing
 // virtual time to the next flow completion or scheduled event.
 //
-// Two structures make each step cheap in large networks. First, an
-// indexed min-heap of projected completion times replaces the per-step
-// scan over all active flows: a flow's heap key is lastSet +
-// Remaining/Rate, recomputed only when its rate actually changes, so
-// finding the next completion is O(1). Second, rate recomputation is
-// scoped to the dirty component — the flows transitively link-connected
-// to whatever was added or removed — because bandwidth sharing across
+// Two structures make each step cheap in large networks. First, indexed
+// min-heaps of projected completion times replace the per-step scan over
+// all active flows: a flow's heap key is lastSet + Remaining/Rate,
+// recomputed only when its rate actually changes, so finding the next
+// completion is O(1) per heap. Second, rate recomputation is scoped to
+// the dirty components — the flows transitively link-connected to
+// whatever was added or removed — because bandwidth sharing across
 // disjoint components is independent for separable disciplines.
 // Allocators that cannot localize (Homa, Sincronia) decline via
-// AllocateScoped and fall back to a full recompute; SetFullRecompute
-// forces the pre-refactor global path for A/B validation.
+// AllocateScoped and fall back to a full recompute.
+//
+// There is one event loop. The engine is always split into event shards
+// (shard.go) coordinated by a conservative virtual-time barrier; a new
+// engine has one shard and no worker pool, and SetShards splits it per
+// pod or into n shards without changing a single completion time.
 type Engine struct {
 	net      *Network
 	alloc    Allocator
@@ -118,7 +122,6 @@ type Engine struct {
 
 	dirty    bool
 	dirtyAll bool // recompute cannot be scoped (allocator swap, reconfig)
-	full     bool // FullRecompute escape hatch: never scope
 
 	// Dirty-set seeds accumulated since the last recompute: flows added
 	// (their components must be rated) and links whose capacity was
@@ -127,25 +130,16 @@ type Engine struct {
 	seedFlows []FlowID
 	seedLinks []topology.LinkID
 
-	// completions maps every active flow with a positive rate to its
-	// projected completion time. In sharded mode (sh != nil) this heap is
-	// empty: projections live in the per-shard heaps instead, and all heap
-	// traffic goes through heapFix/heapRemove so both modes share the
-	// recompute, cancel and failure machinery.
-	completions sim.IndexedHeap
-
-	// sh, when non-nil, holds the sharded-engine state: per-partition
-	// completion heaps and allocator clones coordinated by a conservative
-	// virtual-time barrier. nil selects the serial legacy path, which is
-	// the zero value and stays bit-for-bit reproducible. See shard.go.
+	// sh holds the event shards: per-partition completion heaps and
+	// allocator clones coordinated by a conservative virtual-time
+	// barrier. Never nil; one shard until SetShards says otherwise. See
+	// shard.go.
 	sh *shardedState
 
 	// Recompute scratch, reused across steps. epoch is atomic because
-	// the sharded engine's lookahead windows run component traversals
-	// concurrently (per-shard linkSeen arrays, shared flowSeen with
-	// owner-only writes) and draw their epochs from the same counter as
-	// the serial phases; the serial path pays one uncontended atomic add
-	// per recompute.
+	// lookahead windows run component traversals concurrently (per-shard
+	// linkSeen arrays, shared flowSeen with owner-only writes) and draw
+	// their epochs from the same counter as the coordinator's phases.
 	ids      []FlowID  // flows handed to the allocator last recompute
 	oldRates []float64 // parallel to ids: rates before the recompute
 	linkSeen []int64   // epoch marks for the component BFS
@@ -161,6 +155,12 @@ type Engine struct {
 	onDoneCount   int
 	pureCallbacks bool
 	poolFinalizer bool // worker-pool cleanup finalizer registered
+
+	// audit, when set, is called after every rate recomputation with
+	// its virtual time and the flows it re-rated. Window recomputes call
+	// it from shard workers concurrently, each with flows of its own
+	// shard only. Tests install it to check the model's invariants.
+	audit func(t float64, ids []FlowID)
 
 	// Stalled-flow tracking: flows parked with no live path after a link
 	// failure. stalled may hold stale or duplicate entries (slots recycle);
@@ -190,28 +190,22 @@ var (
 // NewEngine creates an engine over the network with the given allocator.
 func NewEngine(net *Network, alloc Allocator) *Engine {
 	id := strconv.FormatUint(engineSeq.Add(1), 10)
-	return &Engine{
+	e := &Engine{
 		net:      net,
 		alloc:    alloc,
 		engineID: id,
 		tel:      newEngineMetrics(telemetry.Default, id),
 	}
+	e.SetShards(1)
+	return e
 }
 
 // SetTelemetry rebinds the engine's instruments to reg (tests use this to
 // isolate from the process-wide default registry).
 func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
 	e.tel = newEngineMetrics(reg, e.engineID)
-	if e.sh != nil {
-		e.bindShardGauges()
-	}
+	e.bindShardGauges()
 }
-
-// SetFullRecompute disables (true) or re-enables (false) scoped rate
-// recomputation: with full recompute every flow-set change re-rates the
-// entire network, the pre-incremental behavior. The differential test
-// drives both modes and checks bit-for-bit identical completion times.
-func (e *Engine) SetFullRecompute(full bool) { e.full = full }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.clock.Now() }
@@ -324,7 +318,7 @@ func (e *Engine) Idle() bool {
 // horizon (seconds; use math.Inf(1) for no limit).
 func (e *Engine) Run(horizon float64) error {
 	for !e.Idle() {
-		if err := e.stepAny(horizon); err != nil {
+		if err := e.step(horizon); err != nil {
 			return err
 		}
 	}
@@ -335,25 +329,27 @@ func (e *Engine) Run(horizon float64) error {
 // the horizon passes.
 func (e *Engine) RunUntil(horizon float64, pred func() bool) error {
 	for !e.Idle() && !pred() {
-		if err := e.stepAny(horizon); err != nil {
+		if err := e.step(horizon); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// stepAny dispatches one event iteration to the serial or sharded loop.
-func (e *Engine) stepAny(horizon float64) error {
-	if e.sh != nil {
-		return e.stepSharded(horizon)
-	}
-	return e.step(horizon)
-}
-
-// step performs one event iteration: reallocate if needed, advance to the
-// next completion/event, fire callbacks.
+// step performs one barrier round: reallocate if needed, let every
+// shard propose its earliest projected completion, advance the clock to
+// the minimum across shards and timers, retire the due completions in
+// (time, id) order, fire their callbacks, then fire the due timers.
+// When the earliest event belongs to a shard whose pods no cross-pod
+// flow touches, the round instead runs bounded lookahead windows
+// (lookahead.go): every such isolated shard advances all its
+// completions below the cross-shard horizon in one round.
+//
+// netsim.events meters the discrete events themselves: completions
+// retired plus timers fired, minimum one per round, so events/s
+// measures simulation throughput rather than round count.
 func (e *Engine) step(horizon float64) error {
-	e.tel.events.Inc()
+	sh := e.sh
 	if e.dirty {
 		e.recompute()
 		e.dirty = false
@@ -361,29 +357,49 @@ func (e *Engine) step(horizon float64) error {
 		e.observeUtilization()
 	}
 
-	// Earliest flow completion: the heap minimum.
+	sh.barrier.Reset()
 	tFlow := math.Inf(1)
-	if at, _, ok := e.completions.Min(); ok {
-		tFlow = at
+	minShard := -1
+	for i, s := range sh.shards {
+		if at, _, ok := s.completions.Min(); ok {
+			sh.barrier.Propose(i, at)
+			if at < tFlow {
+				tFlow, minShard = at, i
+			}
+		}
 	}
 	tEvent := math.Inf(1)
 	if at, ok := e.events.PeekTime(); ok {
 		tEvent = at
 	}
-
 	tNext := math.Min(tFlow, tEvent)
 	if math.IsInf(tNext, 1) {
+		e.tel.events.Inc()
 		if e.net.NumActive() > 0 {
 			return ErrDeadlock
 		}
 		return nil
 	}
 	if tNext > horizon {
+		e.tel.events.Inc()
 		return fmt.Errorf("%w: next event at %gs > horizon %gs", ErrHorizon, tNext, horizon)
+	}
+
+	if tFlow < tEvent && minShard >= 0 && e.lookaheadReady() {
+		e.computeIsolation()
+		if sh.isolated[minShard] {
+			h := sh.barrier.HorizonExcept(sh.isolated)
+			h = math.Min(h, tEvent)
+			h = math.Min(h, horizon)
+			if tFlow < h-timeSlack {
+				return e.runLookahead(h)
+			}
+		}
 	}
 
 	t0 := e.Now()
 	if err := e.clock.AdvanceTo(tNext); err != nil {
+		e.tel.events.Inc()
 		return err
 	}
 	e.net.now = tNext
@@ -391,25 +407,7 @@ func (e *Engine) step(horizon float64) error {
 		e.OnAdvance(e, t0, tNext)
 	}
 
-	// Pop every flow due by tNext. The residual check mirrors the heap
-	// key within completionSlack: a flow whose projected residual at
-	// tNext is below the slack floor finishes now even if its exact
-	// completion time lies marginally beyond.
-	e.done = e.done[:0]
-	for {
-		at, idInt, ok := e.completions.Min()
-		if !ok {
-			break
-		}
-		f := &e.net.flows[idInt]
-		if at > tNext && f.RemainingAt(tNext) > completionSlack(f) {
-			break
-		}
-		e.completions.Pop()
-		f.Remaining = 0
-		f.lastSet = tNext
-		e.done = append(e.done, FlowID(idInt))
-	}
+	e.collectDue(tNext)
 	for _, id := range e.done {
 		fn := e.takeDone(id)
 		f, err := e.net.Flow(id)
@@ -418,6 +416,7 @@ func (e *Engine) step(horizon float64) error {
 		}
 		e.tel.flowSeconds.Observe(tNext - f.Start)
 		e.seedLinks = append(e.seedLinks, f.Path...)
+		e.noteShardFlow(id, -1)
 		if err := e.net.RemoveFlow(id); err != nil {
 			return err
 		}
@@ -427,11 +426,15 @@ func (e *Engine) step(horizon float64) error {
 			fn(e, id)
 		}
 	}
-	if len(e.done) > 0 {
+	completions := len(e.done)
+	if completions > 0 {
 		e.tel.flowsActive.Set(float64(e.net.NumActive()))
+		for _, i := range sh.busy {
+			sh.shards[i].gHeap.Set(float64(sh.shards[i].completions.Len()))
+		}
 	}
 
-	// Fire all events due now.
+	timers := 0
 	for {
 		at, ok := e.events.PeekTime()
 		if !ok || at > e.Now()+timeSlack {
@@ -439,7 +442,9 @@ func (e *Engine) step(horizon float64) error {
 		}
 		ev, _ := e.events.Pop()
 		ev.Fn()
+		timers++
 	}
+	e.tel.events.Add(uint64(max(completions+timers, 1)))
 	return nil
 }
 
@@ -447,13 +452,13 @@ func (e *Engine) step(horizon float64) error {
 // with this engine is pure with respect to the simulation: it may read
 // the engine (Now, telemetry) and record results externally, but never
 // adds, cancels, reconfigures, or otherwise mutates engine or network
-// state. The sharded engine uses the promise to run bounded virtual-time
+// state. The engine uses the promise to run bounded virtual-time
 // lookahead windows: isolated shards retire several completions per
-// barrier round, and the callbacks — though fired in the exact serial
-// order and at the exact serial virtual times — fire after other shards
-// have already simulated past them, which only an effect-free callback
-// cannot observe. Without the promise, lookahead stays off whenever any
-// callback is registered.
+// barrier round, and the callbacks — though fired in the exact order and
+// at the exact virtual times of a run without windows — fire after other
+// shards have already simulated past them, which only an effect-free
+// callback cannot observe. Without the promise, lookahead stays off
+// whenever any callback is registered.
 func (e *Engine) SetPureCallbacks(pure bool) { e.pureCallbacks = pure }
 
 // setDone records a completion callback for id.
@@ -482,29 +487,49 @@ func (e *Engine) takeDone(id FlowID) func(*Engine, FlowID) {
 
 // recompute re-rates the flows affected by the accumulated flow-set
 // changes and re-projects their completion times. With scoping in
-// force, the affected set is the dirty component: every flow reachable
-// from the seeds through shared links. Disciplines that cannot localize
-// decline AllocateScoped and are re-run globally.
+// force, the affected set is the dirty components: every flow reachable
+// from the seeds through shared links. Each component goes to the
+// allocator of its home shard, concurrently across shards. Disciplines
+// without shard clones get the union of the components in one call, and
+// disciplines that cannot localize decline AllocateScoped and are re-run
+// globally.
 func (e *Engine) recompute() {
+	sh := e.sh
 	now := e.clock.Now()
-	scoped := !e.full && !e.dirtyAll
-	e.ids = e.ids[:0]
+	scoped := !e.dirtyAll
 	if scoped {
-		e.ids = e.dirtyComponent(e.ids)
+		// Clones derive lazily, at the first recompute that can actually
+		// use them: runs that only ever take the union path never pay.
+		sh.ensureClones(e.alloc)
+		e.splitDirty()
+		if !sh.clones {
+			// One call over the union: the allocator contract wants it
+			// ascending, and splitDirty only sorts within components.
+			slices.Sort(e.ids)
+		}
 	} else {
-		e.ids = e.net.ActiveInto(e.ids)
+		e.ids = e.net.ActiveInto(e.ids[:0])
 	}
-	// An empty dirty set is still offered to the allocator: separable
-	// disciplines accept it as a no-op (no link they bill changed), while
-	// decliners like Homa must re-rank the whole network on every change
-	// — exactly what the widened path below does.
 	e.saveOldRates()
-	if !e.alloc.AllocateScoped(e.net, e.ids) {
+	var ok bool
+	if scoped && sh.clones {
+		ok = e.allocComponents()
+	} else {
+		// An empty dirty set is still offered to the allocator:
+		// separable disciplines accept it as a no-op, while decliners
+		// like Homa must re-rank the whole network on every change.
+		ok = e.alloc.AllocateScoped(e.net, e.ids)
+	}
+	if !ok {
 		if scoped {
-			// Allocator declined: widen to the full active set.
+			// Undo any partial rate writes of a declining clone — the
+			// saved rates cover every flow it may have touched — then
+			// widen to the full active set.
+			for i, id := range e.ids {
+				e.net.flows[id].Rate = e.oldRates[i]
+			}
 			e.ids = e.net.ActiveInto(e.ids[:0])
 			e.saveOldRates()
-			scoped = false
 		}
 		e.alloc.Allocate(e.net)
 	} else if scoped && len(e.ids) > 0 {
@@ -513,59 +538,9 @@ func (e *Engine) recompute() {
 	}
 	e.reproject(now)
 	e.clearSeeds()
-}
-
-// dirtyComponent expands the seed flows and links into the union of
-// link-connected components they touch, appended to buf in ascending
-// FlowID order (the order the allocator contract requires).
-func (e *Engine) dirtyComponent(buf []FlowID) []FlowID {
-	ep := e.epoch.Add(1)
-	for len(e.linkSeen) < len(e.net.linkFlows) {
-		e.linkSeen = append(e.linkSeen, 0)
+	if e.audit != nil {
+		e.audit(now, e.ids)
 	}
-	for len(e.flowSeen) < len(e.net.flows) {
-		e.flowSeen = append(e.flowSeen, 0)
-	}
-	e.stack = e.stack[:0]
-	for _, l := range e.seedLinks {
-		if e.linkSeen[l] != ep {
-			e.linkSeen[l] = ep
-			e.stack = append(e.stack, l)
-		}
-	}
-	for _, id := range e.seedFlows {
-		f := &e.net.flows[id]
-		if !f.active || e.flowSeen[id] == ep {
-			continue // e.g. admitted then cancelled before this recompute
-		}
-		e.flowSeen[id] = ep
-		buf = append(buf, id)
-		for _, l := range f.Path {
-			if e.linkSeen[l] != ep {
-				e.linkSeen[l] = ep
-				e.stack = append(e.stack, l)
-			}
-		}
-	}
-	for len(e.stack) > 0 {
-		l := e.stack[len(e.stack)-1]
-		e.stack = e.stack[:len(e.stack)-1]
-		for _, fid := range e.net.linkFlows[l] {
-			if e.flowSeen[fid] == ep {
-				continue
-			}
-			e.flowSeen[fid] = ep
-			buf = append(buf, fid)
-			for _, fl := range e.net.flows[fid].Path {
-				if e.linkSeen[fl] != ep {
-					e.linkSeen[fl] = ep
-					e.stack = append(e.stack, fl)
-				}
-			}
-		}
-	}
-	slices.Sort(buf)
-	return buf
 }
 
 func (e *Engine) saveOldRates() {
@@ -603,7 +578,7 @@ func (e *Engine) reproject(now float64) {
 			e.heapRemove(id)
 		}
 	}
-	e.tel.heapSize.Set(float64(e.heapLen()))
+	e.publishHeapGauges()
 }
 
 func (e *Engine) clearSeeds() {

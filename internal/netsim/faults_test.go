@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,40 +37,23 @@ func coreCables(top *topology.Topology) [][]topology.LinkID {
 
 // TestDifferentialWithFlaps is the fault-path extension of the
 // differential gate: with a seeded link-flap schedule disrupting,
-// rerouting, and stalling flows mid-run, scoped recomputation must still
-// produce bit-for-bit the completion times of full recomputation, for
-// every allocator — and the whole scenario must replay identically.
+// rerouting, and stalling flows mid-run, the engine must still produce
+// bit-for-bit the reference engine's completion times, for every
+// allocator at every shard count — and the whole scenario must replay
+// identically.
 func TestDifferentialWithFlaps(t *testing.T) {
-	allocators := []string{"ideal-maxmin", "fecn", "wfq", "homa", "sincronia", "decentral"}
 	for _, name := range allocators {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				fullReg := telemetry.NewRegistry()
-				scopedReg := telemetry.NewRegistry()
-				replayReg := telemetry.NewRegistry()
-				want := runDifferentialScenario(t, name, seed, true, fullReg, true, 0)
-				got := runDifferentialScenario(t, name, seed, false, scopedReg, true, 0)
-				again := runDifferentialScenario(t, name, seed, false, replayReg, true, 0)
-				if len(want) != len(got) || len(want) != len(again) {
-					t.Fatalf("seed %d: admission counts differ: full %d, scoped %d, replay %d",
-						seed, len(want), len(got), len(again))
-				}
-				for i := range want {
-					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-						t.Errorf("seed %d admission %d: completion %v (full) vs %v (scoped); diff %g",
-							seed, i, want[i], got[i], got[i]-want[i])
-					}
-					if math.Float64bits(got[i]) != math.Float64bits(again[i]) {
-						t.Errorf("seed %d admission %d: replay diverged: %v vs %v",
-							seed, i, got[i], again[i])
-					}
-				}
-				if scopedReg.Counter("netsim.link_failures").Value() == 0 {
+				outs := diffAgainstReference(t, name, seed, scenario{flaps: true})
+				again := runDifferentialScenario(t, engineAt(1), name, seed, scenario{flaps: true})
+				assertSameRun(t, fmt.Sprintf("seed %d replay", seed), outs[0], again)
+				reg := outs[0].reg
+				if reg.Counter("netsim.link_failures").Value() == 0 {
 					t.Errorf("seed %d: flap schedule failed no links", seed)
 				}
-				if scopedReg.Counter("netsim.link_restores").Value() !=
-					scopedReg.Counter("netsim.link_failures").Value() {
+				if reg.Counter("netsim.link_restores").Value() != reg.Counter("netsim.link_failures").Value() {
 					t.Errorf("seed %d: restores do not match failures", seed)
 				}
 			}

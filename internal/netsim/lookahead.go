@@ -4,7 +4,7 @@ import (
 	"slices"
 )
 
-// Bounded virtual-time lookahead for the sharded engine.
+// Bounded virtual-time lookahead for the event shards.
 //
 // The conservative barrier admits exactly one event time per round: every
 // shard proposes its next completion, the minimum wins, and the round
@@ -22,34 +22,37 @@ import (
 // the shard until either (a) a non-isolated shard's event or (b) a
 // scheduled timer runs. The earliest such external event is the safe
 // horizon H = min(HorizonExcept(isolated), next timer, run horizon):
-// below H (strictly, by timeSlack) an isolated shard may emulate serial
-// steps locally — pop the due batch, detach the retired flows, recompute
-// the seeded components at the batch time, re-project — without any other
-// shard observing the difference.
+// below H (strictly, by timeSlack) an isolated shard may emulate barrier
+// rounds locally — pop the due batch, detach the retired flows,
+// recompute the seeded components at the batch time, re-project —
+// without any other shard observing the difference.
 //
-// Bit-exactness rests on three properties. First, the serial engine runs
+// Bit-exactness rests on three properties. First, a barrier round runs
 // the recompute triggered by a completion batch at the batch's own
-// virtual time (the clock advances before the batch and the next step's
+// virtual time (the clock advances before the batch and the next round's
 // recompute happens before the next advance), which is exactly when the
 // window recomputes. Second, component allocation on a clone is
-// bit-identical to the serial union allocation (the separability contract
-// the differential gates establish). Third, everything order-sensitive —
-// FlowID recycling, flow_seconds observations, completion callbacks — is
-// deferred: windows only record retirements, and the coordinator applies
-// them in merged (time, heap key, id) order, which is precisely the
-// serial pop order. Callbacks therefore fire at their exact serial
-// virtual times and in serial order, but *after* other shards have
-// simulated past them — hence the purity gate (SetPureCallbacks).
+// bit-identical to the allocation of the whole network (the separability
+// contract the differential gates establish against the reference
+// engine). Third, everything order-sensitive — FlowID recycling,
+// flow_seconds observations, completion callbacks — is deferred: windows
+// only record retirements, and the coordinator applies them in merged
+// (time, heap key, id) order, which is precisely the round-by-round pop
+// order. Callbacks therefore fire at their exact virtual times and in
+// order, but *after* other shards have simulated past them — hence the
+// purity gate (SetPureCallbacks).
 
 // lookaheadReady reports whether this round may use lookahead windows:
 // clones in force (component allocation proven separable for this
-// allocator), no full-recompute escape hatch, no time-advance observer,
-// and no completion callbacks unless declared pure.
+// allocator), no pending full recompute, no time-advance observer, and
+// no completion callbacks unless declared pure.
 func (e *Engine) lookaheadReady() bool {
 	sh := e.sh
+	if !sh.lookahead || e.dirtyAll || e.OnAdvance != nil || (e.onDoneCount > 0 && !e.pureCallbacks) {
+		return false
+	}
 	sh.ensureClones(e.alloc)
-	return sh.lookahead && sh.clones && !e.full && !e.dirtyAll &&
-		e.OnAdvance == nil && (e.onDoneCount == 0 || e.pureCallbacks)
+	return sh.clones
 }
 
 // computeIsolation refreshes the per-shard isolation flags from the
@@ -71,11 +74,11 @@ func (e *Engine) computeIsolation() {
 // runLookahead runs one lookahead round: every isolated shard with a
 // completion strictly below the safe horizon h advances all its
 // completions up to h in a local window, concurrently; the coordinator
-// then applies the merged retirements in serial order. The caller
+// then applies the merged retirements in round-by-round order. The caller
 // guarantees at least one shard qualifies, and every window retires at
 // least its first batch, so a round always makes progress.
-// runShardWindow is the per-shard window phase body (bound to
-// sh.windowFn), reading the round's safe horizon from sh.windowH.
+// runShardWindow is the per-shard window phase body, reading the
+// round's safe horizon from sh.windowH.
 func (e *Engine) runShardWindow(i int) {
 	e.runWindow(e.sh.shards[i], e.sh.windowH)
 }
@@ -97,7 +100,7 @@ func (e *Engine) runLookahead(h float64) error {
 		}
 	}
 	sh.windowH = h
-	sh.runPhase(sh.busy, sh.windowFn)
+	e.runPhase((*Engine).runShardWindow)
 
 	declined := false
 	recomputes, dirtyFlows := 0, 0
@@ -119,8 +122,9 @@ func (e *Engine) runLookahead(h float64) error {
 		e.dirty = true
 		e.dirtyAll = true
 	}
-	// Merged (time, heap key, id) order is the serial engine's pop order:
-	// time orders the steps, and within a step the heap pops by (key, id).
+	// Merged (time, heap key, id) order is the round-by-round pop order:
+	// time orders the rounds, and within a round the heaps pop by
+	// (key, id).
 	slices.SortFunc(sh.mergedR, func(a, b retirement) int {
 		switch {
 		case a.at < b.at:
@@ -156,15 +160,9 @@ func (e *Engine) runLookahead(h float64) error {
 
 	e.tel.flowsActive.Set(float64(e.net.NumActive()))
 	for _, i := range sh.busy {
-		s := sh.shards[i]
-		if s.gActive != nil {
-			s.gActive.Set(float64(s.active))
-		}
-		if s.gHeap != nil {
-			s.gHeap.Set(float64(s.completions.Len()))
-		}
+		sh.shards[i].gActive.Set(float64(sh.shards[i].active))
 	}
-	e.tel.heapSize.Set(float64(e.heapLen()))
+	e.publishHeapGauges()
 	e.tel.rateRecomputes.Add(uint64(recomputes))
 	e.tel.scopedRecomputes.Add(uint64(recomputes))
 	e.tel.dirtyFlows.Add(uint64(dirtyFlows))
@@ -175,7 +173,7 @@ func (e *Engine) runLookahead(h float64) error {
 }
 
 // runWindow advances one isolated shard through every completion
-// strictly below the horizon, emulating the serial step loop locally:
+// strictly below the horizon, emulating the barrier rounds locally:
 // pop the due batch at the shard's next completion time, retire and
 // detach the batch, recompute the components its freed links seed, and
 // re-project — repeating until the shard's next completion reaches the
@@ -194,7 +192,7 @@ func (e *Engine) runWindow(s *engineShard, h float64) {
 		if !ok || tb >= h-timeSlack {
 			return
 		}
-		// Pop every flow due at tb — the serial due predicate verbatim.
+		// Pop every flow due at tb — collectDue's predicate verbatim.
 		// The first pop always passes (its key is tb), so every window
 		// iteration retires at least one flow.
 		s.seeds = s.seeds[:0]
@@ -225,9 +223,9 @@ func (e *Engine) runWindow(s *engineShard, h float64) {
 // seeds into link-connected components (per-shard linkSeen marks, shared
 // flowSeen with owner-only writes — isolation confines the components to
 // the shard's own flows), allocate each component on the shard's clone,
-// and re-project exactly as the serial reproject would at the batch time
-// — skipping bitwise-unchanged rates, so lazy projections stay identical
-// to the serial run's.
+// and re-project exactly as reproject would at the batch time —
+// skipping bitwise-unchanged rates, so lazy projections stay identical
+// to a run without windows.
 func (e *Engine) windowRecompute(s *engineShard, tb float64) {
 	ep := e.epoch.Add(1)
 	s.wIDs = s.wIDs[:0]
@@ -304,4 +302,7 @@ func (e *Engine) windowRecompute(s *engineShard, tb float64) {
 	}
 	s.wRecs++
 	s.wDirty += len(s.wIDs)
+	if e.audit != nil {
+		e.audit(tb, s.wIDs)
+	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -13,47 +14,22 @@ import (
 // runPodLocal drives a seeded workload that stays overwhelmingly inside
 // single pods — the shape lookahead windows exist for — plus one
 // cross-pod flow mid-run so the coupling counters are seen to gate
-// windows off and back on. Returns completion times in admission order.
-func runPodLocal(t *testing.T, seed int64, shards int, pure bool, reg *telemetry.Registry, reshard bool) []float64 {
+// windows off and back on. With reshard the engine changes its shard
+// count three times mid-run. Returns completion times in admission order.
+func runPodLocal(t *testing.T, tg target, seed int64, reshard bool) runOut {
 	t.Helper()
 	top := diffFabric(t)
 	part := top.Partition()
 	net := NewNetwork(top)
-	e := NewEngine(net, NewIdealMaxMin(net))
-	e.SetTelemetry(reg)
-	e.SetShards(shards)
-	e.SetPureCallbacks(pure)
+	reg := telemetry.NewRegistry()
+	d, audit := tg.start(net, NewIdealMaxMin(net), reg)
+	rc := newRecorder(d, audit, reg)
 
 	rng := rand.New(rand.NewSource(seed))
 	podHosts := make([][]topology.NodeID, part.NumParts())
 	for p := range podHosts {
 		podHosts[p] = part.HostsIn(p)
 	}
-
-	var (
-		done   []float64
-		ids    []FlowID
-		idxOf  = map[FlowID]int{}
-		record = func(e *Engine, id FlowID) {
-			done[idxOf[id]] = e.Now()
-		}
-	)
-	admit := func(at float64, specs []FlowSpec) {
-		if err := e.At(at, func(e *Engine) {
-			newIDs, err := e.AddFlows(specs, record)
-			if err != nil {
-				panic(err)
-			}
-			for _, id := range newIDs {
-				idxOf[id] = len(ids)
-				ids = append(ids, id)
-				done = append(done, -1)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	const waves = 24
 	for w := 0; w < waves; w++ {
 		at := float64(w) * 0.25
@@ -68,83 +44,89 @@ func runPodLocal(t *testing.T, seed int64, shards int, pure bool, reg *telemetry
 			}
 			specs[i] = FlowSpec{Src: src, Dst: dst, Bits: float64((1 + rng.Intn(4000)) * 64)}
 		}
-		admit(at, specs)
+		if err := rc.admit(at, specs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// One short cross-pod flow couples both pods for its lifetime:
 	// windows must stop while it is attached and resume after it
 	// completes (small enough to retire long before the run ends).
-	admit(waves/3*0.25+0.01, []FlowSpec{{
+	if err := rc.admit(waves/3*0.25+0.01, []FlowSpec{{
 		Src: podHosts[0][0], Dst: podHosts[1][0], Bits: 2e3,
-	}})
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	if reshard {
 		for i, n := range []int{5, 2, -1} {
 			n := n
-			if err := e.At(0.8+0.9*float64(i), func(e *Engine) { e.SetShards(n) }); err != nil {
+			if err := d.At(0.8+0.9*float64(i), func() { d.SetShards(n) }); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := e.Run(math.Inf(1)); err != nil {
+	if err := d.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	return done
+	audit.check(t, fmt.Sprintf("pod-local %v", tg))
+	return rc.out
 }
 
 // The lookahead gate: pod-local traffic must engage windows (several
-// completions per barrier round) and stay bit-for-bit identical to the
-// serial engine.
+// completions per barrier round) per pod and stay bit-for-bit identical
+// to the reference engine at every shard count.
 func TestLookaheadPodLocalMatchesSerial(t *testing.T) {
+	top := diffFabric(t)
 	for seed := int64(1); seed <= 3; seed++ {
-		serialReg := telemetry.NewRegistry()
-		shardReg := telemetry.NewRegistry()
-		want := runPodLocal(t, seed, 0, true, serialReg, false)
-		got := runPodLocal(t, seed, -1, true, shardReg, false)
-		assertSameVector(t, "pod-local", want, got)
-		rounds := shardReg.Counter("netsim.lookahead_rounds").Value()
-		events := shardReg.Counter("netsim.lookahead_completions").Value()
-		if rounds == 0 {
-			t.Fatalf("seed %d: pod-local workload never entered a lookahead window", seed)
-		}
-		if events <= rounds {
-			t.Errorf("seed %d: %d lookahead completions over %d rounds; windows should retire several per round",
-				seed, events, rounds)
+		want := runPodLocal(t, reference, seed, false)
+		for _, tg := range shardTargets(top) {
+			got := runPodLocal(t, tg, seed, false)
+			assertSameRun(t, fmt.Sprintf("pod-local seed %d %v", seed, tg), want, got)
+			if tg.shards != -1 {
+				continue
+			}
+			rounds := got.reg.Counter("netsim.lookahead_rounds").Value()
+			events := got.reg.Counter("netsim.lookahead_completions").Value()
+			if rounds == 0 {
+				t.Fatalf("seed %d: pod-local workload never entered a lookahead window", seed)
+			}
+			if events <= rounds {
+				t.Errorf("seed %d: %d lookahead completions over %d rounds; windows should retire several per round",
+					seed, events, rounds)
+			}
 		}
 	}
 }
 
 // Without the purity declaration, registered completion callbacks must
-// keep lookahead off — and the result must still match serial through
-// the plain barrier path.
+// keep lookahead off — and the result must still match the reference
+// through the plain barrier rounds.
 func TestLookaheadGatedOffByImpureCallbacks(t *testing.T) {
-	serialReg := telemetry.NewRegistry()
-	shardReg := telemetry.NewRegistry()
-	want := runPodLocal(t, 1, 0, false, serialReg, false)
-	got := runPodLocal(t, 1, -1, false, shardReg, false)
-	assertSameVector(t, "impure", want, got)
-	if rounds := shardReg.Counter("netsim.lookahead_rounds").Value(); rounds != 0 {
+	want := runPodLocal(t, reference, 1, false)
+	got := runPodLocal(t, target{shards: -1, impure: true}, 1, false)
+	assertSameRun(t, "impure", want, got)
+	if rounds := got.reg.Counter("netsim.lookahead_rounds").Value(); rounds != 0 {
 		t.Fatalf("lookahead ran %d rounds despite undeclared callbacks", rounds)
 	}
 }
 
 // Stress the persistent-worker runtime with real parallelism: windows,
 // barrier rounds, and mid-run reshards (worker-pool teardown and
-// rebuild) under GOMAXPROCS=4, checked bit-for-bit against serial. Run
-// with -race in CI.
+// rebuild) under GOMAXPROCS=4, checked bit-for-bit against the
+// reference. Run with -race in CI.
 func TestLookaheadReshardStressParallel(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	for seed := int64(1); seed <= 2; seed++ {
-		serialReg := telemetry.NewRegistry()
-		shardReg := telemetry.NewRegistry()
-		want := runPodLocal(t, seed, 0, true, serialReg, false)
-		got := runPodLocal(t, seed, -1, true, shardReg, true)
-		assertSameVector(t, "reshard stress", want, got)
+		want := runPodLocal(t, reference, seed, false)
+		got := runPodLocal(t, engineAt(-1), seed, true)
+		assertSameRun(t, "reshard stress", want, got)
 	}
 }
 
 // Satellite regression: the per-shard flows_active and
 // completion_heap_size gauges must drain to zero when their shard
-// retires — SetShards shrinking the count or dropping to serial.
+// retires (SetShards shrinking the count), while the surviving shards
+// republish the live counts.
 func TestShardGaugesDrainOnRetire(t *testing.T) {
 	top := diffFabric(t)
 	part := top.Partition()
@@ -193,14 +175,26 @@ func TestShardGaugesDrainOnRetire(t *testing.T) {
 		t.Errorf("surviving shards' flows_active sum = %v, want 6", got)
 	}
 
-	e.SetShards(1) // serial: every shard gauge drains
+	// One shard: every labeled shard series drains, and the lone shard
+	// publishes through the engine-level gauges, which carry every live
+	// flow and projection.
+	e.SetShards(1)
 	for _, shard := range []string{"0", "1", "2"} {
 		if got := gauge("netsim.flows_active", shard); got != 0 {
-			t.Errorf("serial mode: shard %s flows_active = %v, want 0", shard, got)
+			t.Errorf("one shard: retired shard %s flows_active = %v, want 0", shard, got)
 		}
 		if got := gauge("netsim.completion_heap_size", shard); got != 0 {
-			t.Errorf("serial mode: shard %s heap gauge = %v, want 0", shard, got)
+			t.Errorf("one shard: retired shard %s heap gauge = %v, want 0", shard, got)
 		}
+	}
+	engine := func(name string) float64 {
+		return reg.Gauge(telemetry.Label(name, "engine", e.engineID)).Value()
+	}
+	if got := engine("netsim.flows_active"); got != 6 {
+		t.Errorf("one shard: engine flows_active = %v, want 6", got)
+	}
+	if got := engine("netsim.completion_heap_size"); got != 6 {
+		t.Errorf("one shard: engine heap gauge = %v, want 6", got)
 	}
 }
 

@@ -144,6 +144,9 @@ func (n *Network) Topology() *topology.Topology { return n.top }
 func (n *Network) partition() *topology.Partition {
 	if n.part == nil {
 		n.part = n.top.Partition()
+		if n.part.NumParts() < 2 {
+			return n.part // one partition: nothing to couple
+		}
 		n.coupled = make([]int32, n.part.NumParts())
 		for i := range n.flows {
 			f := &n.flows[i]
@@ -159,8 +162,8 @@ func (n *Network) partition() *topology.Partition {
 // A flow couples pods only when its path crosses a partition cut; then
 // every partition it touches — via its endpoints or any on-path link —
 // is coupled to flows outside that partition and counts the flow. The
-// counters are a no-op until partition() has run (coupled == nil), so
-// engines that never shard pay nothing but the nil check.
+// counters stay nil, and cost one nil check, on single-partition fabrics
+// and until partition() has run.
 func (n *Network) noteCoupling(f *Flow, delta int32) {
 	if n.coupled == nil {
 		return
@@ -322,11 +325,11 @@ func (n *Network) RemoveFlow(id FlowID) error {
 
 // finishRemoved completes the removal of a flow that was already
 // detached: deactivation, FlowID recycling, the active count. The
-// sharded engine's lookahead windows detach completed flows inside
-// concurrent per-shard phases (each shard owns its pod's links) but
-// must recycle FlowIDs in the globally merged completion order to match
-// the serial engine bit-for-bit, so the free-list push is deferred to
-// the coordinator's apply phase.
+// engine's lookahead windows detach completed flows inside concurrent
+// per-shard phases (each shard owns its pod's links) but must recycle
+// FlowIDs in the globally merged completion order to match a run
+// without windows bit-for-bit, so the free-list push is deferred to the
+// coordinator's apply phase.
 func (n *Network) finishRemoved(id FlowID) {
 	f := &n.flows[id]
 	f.active = false

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -12,18 +11,19 @@ import (
 	"saba/internal/topology"
 )
 
-// This file implements the sharded event loop: the engine split by
-// fabric partition into per-pod shards, each owning a completion heap
-// and (when the discipline supports it) an allocator clone, coordinated
-// by a conservative virtual-time barrier. Every round, shards propose
-// their earliest projected completion, the coordinator advances the
-// clock to the minimum across shards and timers, and the shards'
-// intra-pod work — component allocation, due-completion collection,
-// and bounded lookahead windows (lookahead.go) — runs concurrently on a
-// persistent worker pool (workers.go). The loop is bit-for-bit
-// identical to the serial engine; DESIGN.md §13 carries the determinism
-// argument, and the differential gate asserts it for all six allocators
-// including under link-flap schedules.
+// This file implements the engine's event shards: the engine split by
+// fabric partition into shards, each owning a completion heap and (when
+// the discipline supports it) an allocator clone, coordinated by a
+// conservative virtual-time barrier. Every round (Engine.step), shards
+// propose their earliest projected completion, the coordinator advances
+// the clock to the minimum across shards and timers, and the shards'
+// work — component allocation, due-completion collection, and bounded
+// lookahead windows (lookahead.go) — runs concurrently on a persistent
+// worker pool (workers.go). One shard with no pool is the plain serial
+// engine; any shard count produces bit-for-bit the same completions.
+// DESIGN.md §13 carries the determinism argument, and the differential
+// gates check it against a naive reference engine for all six
+// allocators, including under link-flap schedules.
 
 // dueCand is one completion candidate popped during due collection: the
 // flow and the heap key it carried when popped.
@@ -33,10 +33,10 @@ type dueCand struct {
 }
 
 // retirement is one completion committed inside a lookahead window:
-// the virtual time of the step that retired it (the serial step time),
-// the heap key the flow carried when popped (the serial pop order
-// within a step), and the flow. Sorting merged retirements by
-// (at, key, id) reproduces the serial engine's completion sequence.
+// the virtual time of the round that would have retired it, the heap
+// key the flow carried when popped (the pop order within that round),
+// and the flow. Sorting merged retirements by (at, key, id) reproduces
+// the round-by-round completion sequence.
 type retirement struct {
 	at  float64
 	key float64
@@ -79,12 +79,15 @@ type engineShard struct {
 	wDirty    int // flows re-rated by window recomputes this round
 }
 
-// shardedState is the coordinator side of the sharded engine.
+// shardedState is the coordinator side of the event shards.
 type shardedState struct {
-	part    *topology.Partition
 	barrier *sim.Barrier
 	shards  []*engineShard
-	workers *shardWorkers // nil when one schedulable slot: phases run inline
+	// homeOfNode maps a source node to its home shard: the node's
+	// fabric partition folded onto the shard count (spine-layer nodes,
+	// which source no flows, fold to shard 0).
+	homeOfNode []int32
+	workers    *shardWorkers // nil when one schedulable slot: phases run inline
 
 	clonedFrom Allocator // allocator the clones were derived from
 	clones     bool      // clones usable: component-parallel allocation on
@@ -99,18 +102,11 @@ type shardedState struct {
 	isolated []bool    // per-shard: no flow couples its pods this round
 	mergedR  []retirement
 
-	// Persistent phase bodies, bound once in SetShards. The hot loop
-	// hands runPhase these instead of fresh closures — a func literal
-	// with captures allocates at every evaluation, and the per-step
-	// due-collection and allocation closures were the last ~11k
-	// allocs/op separating the sharded Fig10 bench from serial. The
-	// per-round parameters travel through dueT / windowH instead of
-	// captures.
-	dueFn    func(int)
-	allocFn  func(int)
-	windowFn func(int)
-	dueT     float64 // collectDue's tNext for the round in flight
-	windowH  float64 // runLookahead's safe horizon for the round in flight
+	// Per-round parameters of the phase bodies. Phases are method
+	// expressions, which cost no allocation, so their parameters travel
+	// here instead of in closure captures.
+	dueT    float64 // collectDue's tNext for the round in flight
+	windowH float64 // runLookahead's safe horizon for the round in flight
 
 	// lookahead gates the window optimization for this run. It starts
 	// true and latches false if a clone ever declines inside a window
@@ -121,33 +117,20 @@ type shardedState struct {
 }
 
 // SetShards splits the engine into n per-partition event shards
-// coordinated by a conservative virtual-time barrier. n <= 1 restores
-// the serial legacy path (the zero value); n < 0 derives one shard per
-// fabric partition of the topology. Safe to call between steps, even
-// mid-run: projected completions migrate to their owning heaps. Flow
-// ownership is the fabric partition of the flow's source host folded
-// onto the shard count, so any n >= 2 is valid on any topology.
+// coordinated by a conservative virtual-time barrier. n <= 1 selects one
+// shard, the engine's initial state; n < 0 derives one shard per fabric
+// partition of the topology. Safe to call between steps, even mid-run:
+// projected completions migrate to their owning heaps. Flow ownership is
+// the fabric partition of the flow's source host folded onto the shard
+// count, so any n is valid on any topology.
 func (e *Engine) SetShards(n int) {
 	part := e.net.partition()
 	if n < 0 {
 		n = part.NumParts()
 	}
-	if n <= 1 {
-		if e.sh == nil {
-			return
-		}
-		old := e.sh
-		e.sh = nil
-		e.stopShards(old)
-		for _, s := range old.shards {
-			drainHeap(&s.completions, &e.completions)
-		}
-		retireShardGauges(old, 0)
-		return
-	}
+	n = max(n, 1)
 	old := e.sh
 	sh := &shardedState{
-		part:      part,
 		barrier:   sim.NewBarrier(n),
 		shards:    make([]*engineShard, n),
 		isolated:  make([]bool, n),
@@ -155,27 +138,26 @@ func (e *Engine) SetShards(n int) {
 	}
 	shardBuf := make([]engineShard, n) // one block, not n tiny allocations
 	for i := range sh.shards {
-		shardBuf[i].cands = make([]dueCand, 0, 32)
 		sh.shards[i] = &shardBuf[i]
 	}
 	sh.busy = make([]int, 0, n)
-	sh.merged = make([]dueCand, 0, 64)
 	for p := 0; p < part.NumParts(); p++ {
 		s := sh.shards[p%n]
 		s.pods = append(s.pods, int32(p))
 	}
-	sh.dueFn = e.collectShardDue
-	sh.allocFn = e.allocShardComps
-	sh.windowFn = e.runShardWindow
+	sh.homeOfNode = make([]int32, len(e.net.top.Nodes()))
+	for v := range sh.homeOfNode {
+		sh.homeOfNode[v] = max(part.OfNode(topology.NodeID(v)), 0) % int32(n)
+	}
 	e.sh = sh // homeOf consults e.sh
 	if old != nil {
-		e.stopShards(old)
+		if old.workers != nil {
+			old.workers.close()
+		}
 		for _, s := range old.shards {
 			e.redistribute(&s.completions)
 		}
-		retireShardGauges(old, 0)
-	} else {
-		e.redistribute(&e.completions)
+		retireShardGauges(old)
 	}
 	// Per-shard active counts include stalled and zero-rate flows, which
 	// live on no heap; recount from the network.
@@ -196,7 +178,7 @@ func (e *Engine) SetShards(n int) {
 		if !e.poolFinalizer {
 			e.poolFinalizer = true
 			runtime.SetFinalizer(e, func(e *Engine) {
-				if e.sh != nil && e.sh.workers != nil {
+				if e.sh.workers != nil {
 					e.sh.workers.close()
 				}
 			})
@@ -204,77 +186,49 @@ func (e *Engine) SetShards(n int) {
 	}
 }
 
-// stopShards releases a previous sharded state's worker pool.
-func (e *Engine) stopShards(old *shardedState) {
-	if old.workers != nil {
-		old.workers.close()
-		old.workers = nil
+// retireShardGauges drains the gauges of every shard of a replaced
+// state to zero, so a shard retired by a shrinking SetShards does not
+// leak its last reading into the telemetry snapshot forever. The new
+// state's gauges are bound afterwards and republish.
+func retireShardGauges(old *shardedState) {
+	for _, s := range old.shards {
+		s.gActive.Set(0)
+		s.gHeap.Set(0)
 	}
 }
 
-// retireShardGauges drains the per-shard gauges of every shard with
-// index >= keep to zero, so a shard retired by a shrinking SetShards (or
-// a switch to the serial path) does not leak its last reading into the
-// telemetry snapshot forever.
-func retireShardGauges(old *shardedState, keep int) {
-	for i := keep; i < len(old.shards); i++ {
-		s := old.shards[i]
-		if s.gActive != nil {
-			s.gActive.Set(0)
-		}
-		if s.gHeap != nil {
-			s.gHeap.Set(0)
-		}
-	}
-}
-
-// bindShardGauges resolves the per-shard labeled gauges against the
-// engine's current registry and publishes the current readings. Called
-// from SetShards and SetTelemetry.
+// bindShardGauges resolves the per-shard gauges against the engine's
+// current registry and publishes the current readings. A lone shard's
+// gauges are the engine-level ones: a breakdown into one shard would
+// only duplicate them, and every engine would register two more
+// series. Called from SetShards and SetTelemetry.
 func (e *Engine) bindShardGauges() {
 	for i, s := range e.sh.shards {
-		shard := strconv.Itoa(i)
-		s.gActive = e.tel.reg.Gauge(telemetry.Label("netsim.flows_active",
-			"engine", e.tel.engineID, "shard", shard))
-		s.gHeap = e.tel.reg.Gauge(telemetry.Label("netsim.completion_heap_size",
-			"engine", e.tel.engineID, "shard", shard))
+		if len(e.sh.shards) == 1 {
+			s.gActive, s.gHeap = e.tel.flowsActive, e.tel.heapSize
+		} else {
+			shard := strconv.Itoa(i)
+			s.gActive = e.tel.reg.Gauge(telemetry.Label("netsim.flows_active",
+				"engine", e.tel.engineID, "shard", shard))
+			s.gHeap = e.tel.reg.Gauge(telemetry.Label("netsim.completion_heap_size",
+				"engine", e.tel.engineID, "shard", shard))
+		}
 		s.gActive.Set(float64(s.active))
-		s.gHeap.Set(float64(s.completions.Len()))
 	}
+	e.tel.flowsActive.Set(float64(e.net.NumActive()))
+	e.publishHeapGauges()
 }
 
 // noteShardFlow tracks the per-shard active-flow count as flows are
-// admitted and cancelled outside the step loops.
+// admitted, cancelled and retired.
 func (e *Engine) noteShardFlow(id FlowID, d int) {
-	if e.sh == nil {
-		return
-	}
 	s := e.sh.shards[e.homeOf(id)]
 	s.active += d
-	if s.gActive != nil {
-		s.gActive.Set(float64(s.active))
-	}
+	s.gActive.Set(float64(s.active))
 }
 
-// Shards returns the number of event shards (1 = serial path).
-func (e *Engine) Shards() int {
-	if e.sh == nil {
-		return 1
-	}
-	return len(e.sh.shards)
-}
-
-// drainHeap pops every entry of src into dst, preserving keys.
-func drainHeap(src, dst *sim.IndexedHeap) {
-	for {
-		at, id, ok := src.Min()
-		if !ok {
-			return
-		}
-		src.Pop()
-		dst.Fix(id, at)
-	}
-}
+// Shards returns the number of event shards.
+func (e *Engine) Shards() int { return len(e.sh.shards) }
 
 // redistribute moves every entry of src onto its owner's shard heap.
 func (e *Engine) redistribute(src *sim.IndexedHeap) {
@@ -294,203 +248,45 @@ func (e *Engine) redistribute(src *sim.IndexedHeap) {
 // active — reroutes and stalls keep a flow on its home heap, and the
 // FlowID-recycling free list never changes a slot's owner mid-flight.
 func (e *Engine) homeOf(id FlowID) int {
-	p := int(e.sh.part.OfNode(e.net.flows[id].Src))
-	if p < 0 {
-		p = 0 // defensive: sources are hosts, never spine-layer nodes
-	}
-	return p % len(e.sh.shards)
+	return int(e.sh.homeOfNode[e.net.flows[id].Src])
 }
 
-// heapFix (re)keys a flow's projected completion on the owning heap —
-// the serial heap, or the flow's home shard heap in sharded mode. All
-// heap traffic outside the two step loops (reproject, cancel, link
-// failures) goes through these two helpers so both modes share the
-// recompute and fault machinery.
+// heapFix (re)keys a flow's projected completion on its home shard's
+// heap. All heap traffic outside the step loop (reproject, cancel, link
+// failures) goes through heapFix and heapRemove; the heap gauges are
+// published once per recompute (publishHeapGauges), which follows every
+// such change before time advances.
 func (e *Engine) heapFix(id FlowID, key float64) {
-	if e.sh != nil {
-		s := e.sh.shards[e.homeOf(id)]
-		s.completions.Fix(int(id), key)
-		if s.gHeap != nil {
-			s.gHeap.Set(float64(s.completions.Len())) // one atomic store
-		}
-		return
-	}
-	e.completions.Fix(int(id), key)
+	e.sh.shards[e.homeOf(id)].completions.Fix(int(id), key)
 }
 
-// heapRemove drops a flow's projection from the owning heap.
+// heapRemove drops a flow's projection from its home shard's heap.
 func (e *Engine) heapRemove(id FlowID) {
-	if e.sh != nil {
-		s := e.sh.shards[e.homeOf(id)]
-		s.completions.Remove(int(id))
-		if s.gHeap != nil {
-			s.gHeap.Set(float64(s.completions.Len()))
-		}
-		return
-	}
-	e.completions.Remove(int(id))
+	e.sh.shards[e.homeOf(id)].completions.Remove(int(id))
 }
 
-// heapLen is the total number of projected completions across heaps.
-func (e *Engine) heapLen() int {
-	if e.sh == nil {
-		return e.completions.Len()
-	}
+// publishHeapGauges stores every shard's heap depth and the engine's
+// total into the completion_heap_size gauges.
+func (e *Engine) publishHeapGauges() {
 	n := 0
 	for _, s := range e.sh.shards {
+		s.gHeap.Set(float64(s.completions.Len()))
 		n += s.completions.Len()
 	}
-	return n
+	e.tel.heapSize.Set(float64(n))
 }
 
-// runPhase invokes fn for every listed shard — concurrently when more
-// than one has work, fanned across the persistent worker pool (inline
-// when the pool is absent: one schedulable core, or a single busy
-// shard).
-func (sh *shardedState) runPhase(busy []int, fn func(i int)) {
-	sh.workers.run(busy, fn)
+// runPhase invokes fn for every shard in sh.busy — concurrently when
+// more than one has work, fanned across the persistent worker pool
+// (inline when the pool is absent: one schedulable core, or a single
+// busy shard).
+func (e *Engine) runPhase(fn phase) {
+	e.sh.workers.run(e.sh.busy, e, fn)
 }
 
-// stepSharded is the barrier-coordinated counterpart of step: shards
-// propose their earliest projected completion, the clock advances to
-// the conservative minimum across shards and timers, and due
-// completions are collected per shard and applied in the serial
-// engine's exact (time, id) order. When the earliest event belongs to a
-// shard whose pods no cross-pod flow touches, the round instead runs
-// bounded lookahead windows (lookahead.go): every such isolated shard
-// advances all its completions below the cross-shard horizon in one
-// barrier round-trip.
-//
-// Event accounting differs deliberately from the serial loop, which
-// counts one netsim.events per loop iteration no matter how many
-// completions the iteration retires in bulk. The sharded loop meters
-// the discrete events themselves — completions retired plus timers
-// fired, minimum one per barrier round — so events/s measures
-// simulation throughput rather than iteration count. The bench cells
-// note the same caveat where the two modes are compared.
-func (e *Engine) stepSharded(horizon float64) error {
-	sh := e.sh
-	if e.dirty {
-		e.recomputeSharded()
-		e.dirty = false
-		e.tel.rateRecomputes.Inc()
-		e.observeUtilization()
-	}
-
-	sh.barrier.Reset()
-	tFlow := math.Inf(1)
-	minShard := -1
-	for i, s := range sh.shards {
-		if at, _, ok := s.completions.Min(); ok {
-			sh.barrier.Propose(i, at)
-			if at < tFlow {
-				tFlow, minShard = at, i
-			}
-		}
-	}
-	tEvent := math.Inf(1)
-	if at, ok := e.events.PeekTime(); ok {
-		tEvent = at
-	}
-	tNext := math.Min(tFlow, tEvent)
-	if math.IsInf(tNext, 1) {
-		e.tel.events.Inc()
-		if e.net.NumActive() > 0 {
-			return ErrDeadlock
-		}
-		return nil
-	}
-	if tNext > horizon {
-		e.tel.events.Inc()
-		return fmt.Errorf("%w: next event at %gs > horizon %gs", ErrHorizon, tNext, horizon)
-	}
-
-	if tFlow < tEvent && minShard >= 0 && e.lookaheadReady() {
-		e.computeIsolation()
-		if sh.isolated[minShard] {
-			h := sh.barrier.HorizonExcept(sh.isolated)
-			h = math.Min(h, tEvent)
-			h = math.Min(h, horizon)
-			if tFlow < h-timeSlack {
-				return e.runLookahead(h)
-			}
-		}
-	}
-
-	t0 := e.Now()
-	if err := e.clock.AdvanceTo(tNext); err != nil {
-		e.tel.events.Inc()
-		return err
-	}
-	e.net.now = tNext
-	if e.OnAdvance != nil && tNext > t0 {
-		e.OnAdvance(e, t0, tNext)
-	}
-
-	e.collectDue(tNext)
-	for _, id := range e.done {
-		fn := e.takeDone(id)
-		f, err := e.net.Flow(id)
-		if err != nil {
-			return err
-		}
-		e.tel.flowSeconds.Observe(tNext - f.Start)
-		e.seedLinks = append(e.seedLinks, f.Path...)
-		e.noteShardFlow(id, -1)
-		if err := e.net.RemoveFlow(id); err != nil {
-			return err
-		}
-		e.tel.flowCompletions.Inc()
-		e.dirty = true
-		if fn != nil {
-			fn(e, id)
-		}
-	}
-	completions := len(e.done)
-	if completions > 0 {
-		e.tel.flowsActive.Set(float64(e.net.NumActive()))
-		for _, i := range sh.busy {
-			s := sh.shards[i]
-			if s.gHeap != nil {
-				s.gHeap.Set(float64(s.completions.Len()))
-			}
-		}
-	}
-
-	timers := 0
-	for {
-		at, ok := e.events.PeekTime()
-		if !ok || at > e.Now()+timeSlack {
-			break
-		}
-		ev, _ := e.events.Pop()
-		ev.Fn()
-		timers++
-	}
-	n := completions + timers
-	if n == 0 {
-		n = 1
-	}
-	e.tel.events.Add(uint64(n))
-	return nil
-}
-
-// collectDue gathers every flow due by tNext into e.done in the exact
-// order the serial pop loop would produce. Each shard pops its heap
-// while the due predicate passes and records the first (key, id) that
-// fails; the globally first failure — the lexicographic minimum across
-// shards — is where the serial loop would have stopped, because every
-// element ordered before it passes the predicate (the predicate is
-// intrinsic to the flow, not to pop order). Candidates at or beyond the
-// stop are re-inserted with their original keys (the indexed heap's
-// order is a pure function of (key, id), so the re-insert is observably
-// identical), and the survivors — merged and sorted by (key, id) —
-// reproduce the serial completion sequence, and with it the callback
-// and FlowID-recycling order.
-// collectShardDue is the per-shard due-collection phase body (bound to
-// sh.dueFn): pop every projected completion at or before sh.dueT — by
-// the serial engine's slack predicate — into the shard's candidate
-// list, recording the first survivor as the shard's stop marker.
+// collectShardDue is the per-shard due-collection phase body: pop every projected completion at or before sh.dueT — by
+// the completionSlack predicate — into the shard's candidate list,
+// recording the first survivor as the shard's stop marker.
 func (e *Engine) collectShardDue(i int) {
 	sh := e.sh
 	tNext := sh.dueT
@@ -513,6 +309,18 @@ func (e *Engine) collectShardDue(i int) {
 	}
 }
 
+// collectDue gathers every flow due by tNext into e.done in the order
+// one heap over all flows would pop them. Each shard pops its heap while
+// the due predicate passes and records the first (key, id) that fails;
+// the globally first failure — the lexicographic minimum across shards
+// — is where that single heap would have stopped, because every element
+// ordered before it passes the predicate (the predicate is intrinsic to
+// the flow, not to pop order). Candidates at or beyond the stop are
+// re-inserted with their original keys (the indexed heap's order is a
+// pure function of (key, id), so the re-insert is observably
+// identical), and the survivors — merged and sorted by (key, id) — fix
+// the completion sequence, and with it the callback and FlowID-recycling
+// order, independently of the shard count.
 func (e *Engine) collectDue(tNext float64) {
 	sh := e.sh
 	sh.busy = sh.busy[:0]
@@ -522,8 +330,31 @@ func (e *Engine) collectDue(tNext float64) {
 		}
 	}
 	sh.dueT = tNext
-	sh.runPhase(sh.busy, sh.dueFn)
+	e.runPhase((*Engine).collectShardDue)
 
+	e.done = e.done[:0]
+	if len(sh.busy) == 0 {
+		return
+	}
+	// One heap pops in (key, id) order and stops at its own first
+	// failure, so a lone busy shard's candidates are the sequence as is.
+	due := sh.shards[sh.busy[0]].cands
+	if len(sh.busy) > 1 {
+		due = e.mergeDue()
+	}
+	for _, c := range due {
+		f := &e.net.flows[c.id]
+		f.Remaining = 0
+		f.lastSet = tNext
+		e.done = append(e.done, FlowID(c.id))
+	}
+}
+
+// mergeDue cuts every busy shard's candidates at the global stop,
+// putting the rest back on their heaps, and merges the survivors in
+// (key, id) order.
+func (e *Engine) mergeDue() []dueCand {
+	sh := e.sh
 	stopAt, stopID := math.Inf(1), 0
 	for _, i := range sh.busy {
 		s := sh.shards[i]
@@ -536,7 +367,7 @@ func (e *Engine) collectDue(tNext float64) {
 		s := sh.shards[i]
 		for _, c := range s.cands {
 			if c.at > stopAt || (c.at == stopAt && c.id >= stopID) {
-				s.completions.Fix(c.id, c.at) // past the serial stop: put back
+				s.completions.Fix(c.id, c.at) // past the global stop: put back
 				continue
 			}
 			sh.merged = append(sh.merged, c)
@@ -552,22 +383,11 @@ func (e *Engine) collectDue(tNext float64) {
 			return a.id - b.id
 		}
 	})
-	e.done = e.done[:0]
-	for _, c := range sh.merged {
-		f := &e.net.flows[c.id]
-		f.Remaining = 0
-		f.lastSet = tNext
-		e.done = append(e.done, FlowID(c.id))
-	}
+	return sh.merged
 }
 
-// recomputeSharded routes the dirty components to their owning shards'
-// allocator clones and runs the shards' allocations concurrently. It
-// falls back to the serial recompute — which already routes heap
-// updates through the shard heaps — whenever scoping is off for this
-// round, the allocator cannot be cloned, or a clone declines.
-// allocShardComps is the per-shard allocation phase body (bound to
-// sh.allocFn): run the shard's clone over each component assigned to
+// allocShardComps is the per-shard allocation phase body: run the
+// shard's clone over each component assigned to
 // it this recompute, flagging a decline for the coordinator.
 func (e *Engine) allocShardComps(i int) {
 	sh := e.sh
@@ -581,42 +401,17 @@ func (e *Engine) allocShardComps(i int) {
 	}
 }
 
-func (e *Engine) recomputeSharded() {
+// allocComponents routes the dirty components to their home shards'
+// allocator clones and runs the shards' allocations concurrently. It
+// reports false when a clone declined; the caller then restores the
+// saved rates and widens to a full recompute.
+func (e *Engine) allocComponents() bool {
 	sh := e.sh
-	scoped := !e.full && !e.dirtyAll
-	if scoped {
-		// Clones derive lazily, at the first recompute that can actually
-		// use them: runs that only ever take the union path (full
-		// recomputes, non-shardable disciplines) never pay for them.
-		sh.ensureClones(e.alloc)
-	}
-	if !scoped || !sh.clones {
-		e.recompute()
-		return
-	}
-	now := e.clock.Now()
-	// Pre-size each shard's heap for its active population before the
-	// re-projections below re-key them one Fix at a time. The floor
-	// skips the first few doubling steps of a population growing from
-	// near zero — a handful of kilobytes per shard buys allocation-free
-	// ramp-up in workloads that add flows in waves.
+	// Pre-size each shard's heap for its active population before
+	// reproject re-keys it one Fix at a time.
 	for _, s := range sh.shards {
-		n := s.active
-		if n < 256 {
-			n = 256
-		}
-		s.completions.Grow(len(e.net.flows)-1, n)
+		s.completions.Grow(len(e.net.flows)-1, s.active)
 	}
-	e.splitDirty()
-	e.saveOldRates()
-	if len(e.ids) == 0 {
-		// Mirror the serial no-op: shardable disciplines accept an empty
-		// scope without observable side effects, so nothing runs.
-		e.reproject(now)
-		e.clearSeeds()
-		return
-	}
-
 	// Assign each component to the home shard of its lowest flow. A
 	// component may span pods (cross-pod flows couple them through cut
 	// links); ownership by lowest member keeps the assignment
@@ -635,28 +430,13 @@ func (e *Engine) recomputeSharded() {
 		}
 		s.comps = append(s.comps, c)
 	}
-	sh.runPhase(sh.busy, sh.allocFn)
-	declined := false
+	e.runPhase((*Engine).allocShardComps)
 	for _, i := range sh.busy {
-		declined = declined || sh.shards[i].declined
-	}
-	if declined {
-		// A clone declined mid-way (no shardable discipline does today,
-		// but the contract allows it): undo any partial rate writes — the
-		// union's saved rates cover every flow a clone may have touched —
-		// then widen to the full active set exactly like the serial path.
-		for i, id := range e.ids {
-			e.net.flows[id].Rate = e.oldRates[i]
+		if sh.shards[i].declined {
+			return false
 		}
-		e.ids = e.net.ActiveInto(e.ids[:0])
-		e.saveOldRates()
-		e.alloc.Allocate(e.net)
-	} else {
-		e.tel.scopedRecomputes.Inc()
-		e.tel.dirtyFlows.Add(uint64(len(e.ids)))
 	}
-	e.reproject(now)
-	e.clearSeeds()
+	return true
 }
 
 // ensureClones (re)derives per-shard allocator clones when the engine's
@@ -665,8 +445,8 @@ func (e *Engine) recomputeSharded() {
 // (and their internal caches and scratch) instead of rebuilding them.
 // Without a worker pool the shards simply share the parent allocator. A
 // nil clone marks the allocator (or its current configuration)
-// non-shardable; component allocation then stays on the serial union
-// path while the sharded event loop keeps running. Non-shardable
+// non-shardable; allocation then takes the union of the components in
+// one call while the event loop keeps its shards. Non-shardable
 // outcomes are deliberately not cached: a configuration change (e.g. a
 // Decentral channel detach) can make the same allocator shardable
 // later.
@@ -733,15 +513,12 @@ func (sh *shardedState) ensureClones(alloc Allocator) {
 // splitDirty expands the recompute seeds (dirty links and flows)
 // directly into their link-connected components in one traversal: e.ids
 // holds every component's flows contiguously (each sorted ascending)
-// and compOff the boundaries. The expansion rules are dirtyComponent's
-// exactly — inactive seed flows are skipped, detached stalled flows
-// seed their last known path — so the concatenation of the parts is
-// always exactly the union the serial path would compute, without
-// paying a second traversal over it or a union-wide sort (the serial
-// recompute needs the union globally sorted because it hands the whole
-// thing to one AllocateScoped call; here every consumer of e.ids either
-// pairs it positionally with oldRates or slices it per component, and
-// the allocator contract only requires each component ascending).
+// and compOff the boundaries. Inactive seed flows are skipped and
+// detached stalled flows seed their last known path, so the
+// concatenation of the parts is exactly the union of the components the
+// seeds touch. Component allocation slices e.ids per component, and the
+// allocator contract only requires each component ascending; the union
+// path sorts e.ids once to hand the whole union to one AllocateScoped.
 //
 // Seed order is deterministic, so discovery order — and with it the
 // component list — is too. Component order across shards is free:

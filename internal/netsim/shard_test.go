@@ -8,132 +8,88 @@ import (
 	"saba/internal/topology"
 )
 
-// The sharded differential gate: for every allocator, the sharded
-// engine (per-pod heaps, allocator clones, barrier-coordinated due
-// collection) must produce bit-for-bit the completion times of the
-// serial engine — with and without a link-flap schedule, and with a
-// shard count that both matches and exceeds the pod count.
-
-func assertSameVector(t *testing.T, ctx string, want, got []float64) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: admission counts differ: %d vs %d", ctx, len(want), len(got))
-	}
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Errorf("%s admission %d: completion %v (serial) vs %v (sharded); diff %g",
-				ctx, i, want[i], got[i], got[i]-want[i])
-		}
-	}
-}
+// The sharded differential gates: at every shard count — one, two, one
+// per pod, more than the pods — the engine (per-shard heaps, allocator
+// clones, barrier-coordinated due collection, lookahead windows) must
+// reproduce the reference engine bit for bit for every allocator, with
+// and without a link-flap schedule and under forced full recomputes.
 
 func TestDifferentialShardedMatchesSerial(t *testing.T) {
-	allocators := []string{"ideal-maxmin", "fecn", "wfq", "homa", "sincronia", "decentral"}
-	shardable := map[string]bool{"ideal-maxmin": true, "fecn": true, "wfq": true, "decentral": true}
 	for _, name := range allocators {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			scopedEngaged := false
 			for seed := int64(1); seed <= 3; seed++ {
-				serialReg := telemetry.NewRegistry()
-				shardReg := telemetry.NewRegistry()
-				oddReg := telemetry.NewRegistry()
-				want := runDifferentialScenario(t, name, seed, false, serialReg, false, 0)
-				got := runDifferentialScenario(t, name, seed, false, shardReg, false, -1)
-				// A shard count exceeding the pod count folds ownership via
-				// modulo; the result must not change.
-				odd := runDifferentialScenario(t, name, seed, false, oddReg, false, 5)
-				assertSameVector(t, name, want, got)
-				assertSameVector(t, name+" shards=5", want, odd)
-				if shardReg.Counter("netsim.scoped_recomputes").Value() > 0 {
-					scopedEngaged = true
+				outs := diffAgainstReference(t, name, seed, scenario{})
+				// Per-pod sharding must still scope (and clone) scopable
+				// disciplines and never scope the others.
+				perPod := outs[2].reg.Counter("netsim.scoped_recomputes").Value() > 0
+				if perPod != scopable[name] {
+					t.Errorf("seed %d: per-pod scoped recomputes = %v, want %v", seed, perPod, scopable[name])
 				}
-			}
-			if shardable[name] && !scopedEngaged {
-				t.Errorf("%s: sharded mode never ran a scoped recompute", name)
-			}
-			if !shardable[name] && scopedEngaged {
-				t.Errorf("%s: non-shardable allocator reported scoped recomputes", name)
 			}
 		})
 	}
 }
 
 func TestDifferentialShardedWithFlaps(t *testing.T) {
-	allocators := []string{"ideal-maxmin", "fecn", "wfq", "homa", "sincronia", "decentral"}
 	for _, name := range allocators {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
-				serialReg := telemetry.NewRegistry()
-				shardReg := telemetry.NewRegistry()
-				want := runDifferentialScenario(t, name, seed, false, serialReg, true, 0)
-				got := runDifferentialScenario(t, name, seed, false, shardReg, true, -1)
-				assertSameVector(t, name, want, got)
-				if shardReg.Counter("netsim.link_failures").Value() == 0 {
-					t.Errorf("seed %d: flap schedule failed no links", seed)
+				for _, out := range diffAgainstReference(t, name, seed, scenario{flaps: true}) {
+					if out.reg.Counter("netsim.link_failures").Value() == 0 {
+						t.Errorf("seed %d: flap schedule failed no links", seed)
+					}
 				}
 			}
 		})
 	}
 }
 
-// Sharded mode must also reproduce the FULL-recompute engine exactly:
-// the union fallback path (dirtyAll, non-shardable configurations)
-// shares its code, so one allocator with flaps suffices here.
+// Forced full recomputes (MarkDirty every 0.2 s of virtual time, on top
+// of flaps) route every allocator through the engine's unscoped path
+// and must still match the reference.
 func TestDifferentialShardedFullRecompute(t *testing.T) {
-	serialReg := telemetry.NewRegistry()
-	shardReg := telemetry.NewRegistry()
-	want := runDifferentialScenario(t, "ideal-maxmin", 2, true, serialReg, true, 0)
-	got := runDifferentialScenario(t, "ideal-maxmin", 2, true, shardReg, true, -1)
-	assertSameVector(t, "full-recompute", want, got)
+	for _, name := range allocators {
+		diffAgainstReference(t, name, 2, scenario{flaps: true, fullEvery: 0.2})
+	}
 }
 
-// SetShards mid-run migrates projected completions between the serial
-// and shard heaps without disturbing the outcome.
+// SetShards mid-run migrates projected completions between shard heaps
+// without disturbing the outcome.
 func TestSetShardsMidRunMigration(t *testing.T) {
-	run := func(reshard bool) []float64 {
+	run := func(tg target) runOut {
 		top := diffFabric(t)
 		net := NewNetwork(top)
-		e := NewEngine(net, NewIdealMaxMin(net))
-		e.SetTelemetry(telemetry.NewRegistry())
+		reg := telemetry.NewRegistry()
+		d, audit := tg.start(net, NewIdealMaxMin(net), reg)
+		rc := newRecorder(d, audit, reg)
 		hosts := top.Hosts()
-		var done []float64
 		for i := 0; i < 24; i++ {
-			i := i
 			src, dst := hosts[i%len(hosts)], hosts[(i*7+3)%len(hosts)]
 			if src == dst {
 				dst = hosts[(i*7+4)%len(hosts)]
 			}
-			done = append(done, -1)
-			at := 0.01 * float64(i)
 			spec := FlowSpec{Src: src, Dst: dst, Bits: float64(6400 + 320*i)}
-			if err := e.At(at, func(e *Engine) {
-				if _, err := e.AddFlow(spec, func(e *Engine, _ FlowID) { done[i] = e.Now() }); err != nil {
-					t.Fatal(err)
-				}
-			}); err != nil {
+			if err := rc.admit(0.01*float64(i), []FlowSpec{spec}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if reshard {
-			// Flip serial → sharded → serial → sharded while flows are in
-			// flight; each flip migrates the projected completions.
-			for i, n := range []int{-1, 1, 3} {
-				n := n
-				if err := e.At(0.05+0.1*float64(i), func(e *Engine) { e.SetShards(n) }); err != nil {
-					t.Fatal(err)
-				}
+		// Flip per-pod → one shard → three shards while flows are in
+		// flight; each flip migrates the projected completions.
+		for i, n := range []int{-1, 1, 3} {
+			n := n
+			if err := d.At(0.05+0.1*float64(i), func() { d.SetShards(n) }); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if err := e.Run(math.Inf(1)); err != nil {
+		if err := d.Run(math.Inf(1)); err != nil {
 			t.Fatal(err)
 		}
-		return done
+		audit.check(t, tg.String())
+		return rc.out
 	}
-	want := run(false)
-	got := run(true)
-	assertSameVector(t, "mid-run reshard", want, got)
+	assertSameRun(t, "mid-run reshard", run(reference), run(engineAt(1)))
 }
 
 // Satellite regression: netsim.flows_active and
@@ -171,11 +127,16 @@ func TestEngineGaugesCarryEngineLabel(t *testing.T) {
 	if unlabeled.Value() != 0 {
 		t.Errorf("unlabeled flows_active gauge written: %v", unlabeled.Value())
 	}
-	if err := e1.Run(math.Inf(1)); err != nil {
+	// Step e1 up to a timer well before its flow completes: the step
+	// projects the one flow, so e1's labeled heap gauge is written while
+	// e2's (and the unlabeled name) never are.
+	stop := false
+	if err := e1.At(1e-6, func(*Engine) { stop = true }); err != nil {
 		t.Fatal(err)
 	}
-	// e1's run projected its one flow: its labeled heap gauge was written
-	// while e2's (and the unlabeled name) never were.
+	if err := e1.RunUntil(math.Inf(1), func() bool { return stop }); err != nil {
+		t.Fatal(err)
+	}
 	h1 := reg.Gauge(telemetry.Label("netsim.completion_heap_size", "engine", e1.engineID))
 	h2 := reg.Gauge(telemetry.Label("netsim.completion_heap_size", "engine", e2.engineID))
 	if h1.Value() != 1 {

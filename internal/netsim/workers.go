@@ -17,11 +17,12 @@ import (
 // latch wait.
 //
 // Workers hold no reference to the Engine between phases — the phase
-// closure is published before the wakes and cleared after the join — so
+// and its engine are published before the wakes and cleared after the
+// join — so
 // an abandoned engine becomes unreachable as soon as the caller drops
 // it; a finalizer then closes stop and the goroutines exit. SetShards
-// also stops the pool explicitly when resharding or going serial, so
-// finalization is only the backstop for engines dropped mid-run.
+// also stops the pool explicitly on every reshard, so finalization is
+// only the backstop for engines dropped mid-run.
 type shardWorkers struct {
 	wake  []chan struct{} // one mailbox per worker
 	stop  chan struct{}
@@ -31,9 +32,15 @@ type shardWorkers struct {
 	// channel send is the happens-before edge) and cleared after the
 	// latch join. lists[w] holds the shard indices worker w runs this
 	// phase.
-	fn    func(i int)
+	fn    phase
+	e     *Engine
 	lists [][]int
 }
+
+// phase is a per-shard phase body, fn(e, i) for shard i: a method
+// expression such as (*Engine).collectShardDue, so handing one to run
+// allocates nothing.
+type phase func(e *Engine, i int)
 
 // newShardWorkers parks n worker goroutines. n must be >= 2: a pool of
 // one would just move inline work onto a channel round-trip.
@@ -57,9 +64,9 @@ func (sw *shardWorkers) worker(w int) {
 		case <-sw.stop:
 			return
 		case <-sw.wake[w]:
-			fn := sw.fn
+			fn, e := sw.fn, sw.e
 			for _, i := range sw.lists[w] {
-				fn(i)
+				fn(e, i)
 			}
 			sw.latch.Arrive()
 		}
@@ -73,15 +80,15 @@ func (sw *shardWorkers) close() {
 	close(sw.stop)
 }
 
-// run executes fn(i) for every shard index in busy, fanning the list
+// run executes fn(e, i) for every shard index in busy, fanning the list
 // across the parked workers. The calling goroutine runs the first
 // worker's share inline so a phase never pays for more wake-ups than it
 // has remote workers; with one busy shard (or no pool) everything stays
 // inline and the phase is synchronization-free.
-func (sw *shardWorkers) run(busy []int, fn func(i int)) {
+func (sw *shardWorkers) run(busy []int, e *Engine, fn phase) {
 	if len(busy) <= 1 || sw == nil {
 		for _, i := range busy {
-			fn(i)
+			fn(e, i)
 		}
 		return
 	}
@@ -96,16 +103,16 @@ func (sw *shardWorkers) run(busy []int, fn func(i int)) {
 		w := k % n
 		sw.lists[w] = append(sw.lists[w], i)
 	}
-	sw.fn = fn
+	sw.fn, sw.e = fn, e
 	sw.latch.Start(n - 1)
 	for w := 1; w < n; w++ {
 		sw.wake[w] <- struct{}{}
 	}
 	for _, i := range sw.lists[0] {
-		fn(i)
+		fn(e, i)
 	}
 	sw.latch.Wait()
-	sw.fn = nil
+	sw.fn, sw.e = nil, nil
 }
 
 // poolSize is the worker count for a shard count: one schedulable slot
