@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -146,7 +145,6 @@ type Engine struct {
 	flowSeen []int64
 	epoch    atomic.Int64
 	stack    []topology.LinkID // BFS worklist
-	done     []FlowID          // completions of the current step
 
 	// Completion-callback accounting for the lookahead gate: windows
 	// reorder when callbacks run relative to other shards' simulation
@@ -407,8 +405,9 @@ func (e *Engine) step(horizon float64) error {
 		e.OnAdvance(e, t0, tNext)
 	}
 
-	e.collectDue(tNext)
-	for _, id := range e.done {
+	due := e.collectDue(tNext)
+	for _, c := range due {
+		id := FlowID(c.id)
 		fn := e.takeDone(id)
 		f, err := e.net.Flow(id)
 		if err != nil {
@@ -426,7 +425,7 @@ func (e *Engine) step(horizon float64) error {
 			fn(e, id)
 		}
 	}
-	completions := len(e.done)
+	completions := len(due)
 	if completions > 0 {
 		e.tel.flowsActive.Set(float64(e.net.NumActive()))
 		for _, i := range sh.busy {
@@ -489,30 +488,32 @@ func (e *Engine) takeDone(id FlowID) func(*Engine, FlowID) {
 // changes and re-projects their completion times. With scoping in
 // force, the affected set is the dirty components: every flow reachable
 // from the seeds through shared links. Each component goes to the
-// allocator of its home shard, concurrently across shards. Disciplines
-// without shard clones get the union of the components in one call, and
-// disciplines that cannot localize decline AllocateScoped and are re-run
-// globally.
+// allocator of its home shard, concurrently across shards. A lone shard
+// and disciplines without shard clones get the union of the components
+// in one call, and disciplines that cannot localize decline
+// AllocateScoped and are re-run globally.
 func (e *Engine) recompute() {
 	sh := e.sh
 	now := e.clock.Now()
 	scoped := !e.dirtyAll
+	perShard := false
 	if scoped {
 		// Clones derive lazily, at the first recompute that can actually
-		// use them: runs that only ever take the union path never pay.
-		sh.ensureClones(e.alloc)
-		e.splitDirty()
-		if !sh.clones {
-			// One call over the union: the allocator contract wants it
-			// ascending, and splitDirty only sorts within components.
-			slices.Sort(e.ids)
+		// use them: runs that only ever take the union path never pay. A
+		// lone shard has nothing to run concurrently, so it takes the
+		// union path too: one allocator call per recompute, not one per
+		// component.
+		if len(sh.shards) > 1 {
+			sh.ensureClones(e.alloc)
+			perShard = sh.clones
 		}
+		e.splitDirty(!perShard)
 	} else {
 		e.ids = e.net.ActiveInto(e.ids[:0])
 	}
 	e.saveOldRates()
 	var ok bool
-	if scoped && sh.clones {
+	if perShard {
 		ok = e.allocComponents()
 	} else {
 		// An empty dirty set is still offered to the allocator:

@@ -72,8 +72,9 @@ func runPodLocal(t *testing.T, tg target, seed int64, reshard bool) runOut {
 }
 
 // The lookahead gate: pod-local traffic must engage windows (several
-// completions per barrier round) per pod and stay bit-for-bit identical
-// to the reference engine at every shard count.
+// completions per barrier round) per pod and on a lone shard, which is
+// always isolated, and stay bit-for-bit identical to the reference
+// engine at every shard count.
 func TestLookaheadPodLocalMatchesSerial(t *testing.T) {
 	top := diffFabric(t)
 	for seed := int64(1); seed <= 3; seed++ {
@@ -81,17 +82,17 @@ func TestLookaheadPodLocalMatchesSerial(t *testing.T) {
 		for _, tg := range shardTargets(top) {
 			got := runPodLocal(t, tg, seed, false)
 			assertSameRun(t, fmt.Sprintf("pod-local seed %d %v", seed, tg), want, got)
-			if tg.shards != -1 {
+			if tg.shards != -1 && tg.shards != 1 {
 				continue
 			}
 			rounds := got.reg.Counter("netsim.lookahead_rounds").Value()
 			events := got.reg.Counter("netsim.lookahead_completions").Value()
 			if rounds == 0 {
-				t.Fatalf("seed %d: pod-local workload never entered a lookahead window", seed)
+				t.Fatalf("seed %d %v: pod-local workload never entered a lookahead window", seed, tg)
 			}
 			if events <= rounds {
-				t.Errorf("seed %d: %d lookahead completions over %d rounds; windows should retire several per round",
-					seed, events, rounds)
+				t.Errorf("seed %d %v: %d lookahead completions over %d rounds; windows should retire several per round",
+					seed, tg, events, rounds)
 			}
 		}
 	}
@@ -175,26 +176,22 @@ func TestShardGaugesDrainOnRetire(t *testing.T) {
 		t.Errorf("surviving shards' flows_active sum = %v, want 6", got)
 	}
 
-	// One shard: every labeled shard series drains, and the lone shard
-	// publishes through the engine-level gauges, which carry every live
-	// flow and projection.
+	// One shard: shard 0 owns every live flow and projection, and the
+	// shards that retired drain to zero.
 	e.SetShards(1)
-	for _, shard := range []string{"0", "1", "2"} {
+	if got := gauge("netsim.flows_active", "0"); got != 6 {
+		t.Errorf("one shard: shard 0 flows_active = %v, want 6", got)
+	}
+	if got := gauge("netsim.completion_heap_size", "0"); got != 6 {
+		t.Errorf("one shard: shard 0 heap gauge = %v, want 6", got)
+	}
+	for _, shard := range []string{"1", "2"} {
 		if got := gauge("netsim.flows_active", shard); got != 0 {
 			t.Errorf("one shard: retired shard %s flows_active = %v, want 0", shard, got)
 		}
 		if got := gauge("netsim.completion_heap_size", shard); got != 0 {
 			t.Errorf("one shard: retired shard %s heap gauge = %v, want 0", shard, got)
 		}
-	}
-	engine := func(name string) float64 {
-		return reg.Gauge(telemetry.Label(name, "engine", e.engineID)).Value()
-	}
-	if got := engine("netsim.flows_active"); got != 6 {
-		t.Errorf("one shard: engine flows_active = %v, want 6", got)
-	}
-	if got := engine("netsim.completion_heap_size"); got != 6 {
-		t.Errorf("one shard: engine heap gauge = %v, want 6", got)
 	}
 }
 
@@ -223,13 +220,15 @@ func TestSplitDirtySteadyStateAllocFree(t *testing.T) {
 			e.seedLinks = append(e.seedLinks, p...)
 		}
 	}
-	seed()
-	e.splitDirty() // warm the scratch
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, union := range []bool{false, true} {
 		seed()
-		e.splitDirty()
-	})
-	if allocs != 0 {
-		t.Fatalf("splitDirty allocates %v times per call at steady state, want 0", allocs)
+		e.splitDirty(union) // warm the scratch
+		allocs := testing.AllocsPerRun(100, func() {
+			seed()
+			e.splitDirty(union)
+		})
+		if allocs != 0 {
+			t.Fatalf("splitDirty(union=%v) allocates %v times per call at steady state, want 0", union, allocs)
+		}
 	}
 }

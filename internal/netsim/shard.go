@@ -124,9 +124,8 @@ type shardedState struct {
 // the fabric partition of the flow's source host folded onto the shard
 // count, so any n is valid on any topology.
 func (e *Engine) SetShards(n int) {
-	part := e.net.partition()
 	if n < 0 {
-		n = part.NumParts()
+		n = e.net.partition().NumParts()
 	}
 	n = max(n, 1)
 	old := e.sh
@@ -141,13 +140,19 @@ func (e *Engine) SetShards(n int) {
 		sh.shards[i] = &shardBuf[i]
 	}
 	sh.busy = make([]int, 0, n)
-	for p := 0; p < part.NumParts(); p++ {
-		s := sh.shards[p%n]
-		s.pods = append(s.pods, int32(p))
-	}
-	sh.homeOfNode = make([]int32, len(e.net.top.Nodes()))
-	for v := range sh.homeOfNode {
-		sh.homeOfNode[v] = max(part.OfNode(topology.NodeID(v)), 0) % int32(n)
+	if n > 1 {
+		// A lone shard needs no partition: it owns every flow (homeOf is
+		// 0) and, with no other shard to emit events, is isolated (no
+		// pods to couple), so the fabric's pod-coupling counters stay off.
+		part := e.net.partition()
+		for p := 0; p < part.NumParts(); p++ {
+			s := sh.shards[p%n]
+			s.pods = append(s.pods, int32(p))
+		}
+		sh.homeOfNode = make([]int32, len(e.net.top.Nodes()))
+		for v := range sh.homeOfNode {
+			sh.homeOfNode[v] = max(part.OfNode(topology.NodeID(v)), 0) % int32(n)
+		}
 	}
 	e.sh = sh // homeOf consults e.sh
 	if old != nil {
@@ -198,21 +203,15 @@ func retireShardGauges(old *shardedState) {
 }
 
 // bindShardGauges resolves the per-shard gauges against the engine's
-// current registry and publishes the current readings. A lone shard's
-// gauges are the engine-level ones: a breakdown into one shard would
-// only duplicate them, and every engine would register two more
-// series. Called from SetShards and SetTelemetry.
+// current registry and publishes the current readings. Called from
+// SetShards and SetTelemetry.
 func (e *Engine) bindShardGauges() {
 	for i, s := range e.sh.shards {
-		if len(e.sh.shards) == 1 {
-			s.gActive, s.gHeap = e.tel.flowsActive, e.tel.heapSize
-		} else {
-			shard := strconv.Itoa(i)
-			s.gActive = e.tel.reg.Gauge(telemetry.Label("netsim.flows_active",
-				"engine", e.tel.engineID, "shard", shard))
-			s.gHeap = e.tel.reg.Gauge(telemetry.Label("netsim.completion_heap_size",
-				"engine", e.tel.engineID, "shard", shard))
-		}
+		shard := strconv.Itoa(i)
+		s.gActive = e.tel.reg.Gauge(telemetry.Label("netsim.flows_active",
+			"engine", e.tel.engineID, "shard", shard))
+		s.gHeap = e.tel.reg.Gauge(telemetry.Label("netsim.completion_heap_size",
+			"engine", e.tel.engineID, "shard", shard))
 		s.gActive.Set(float64(s.active))
 	}
 	e.tel.flowsActive.Set(float64(e.net.NumActive()))
@@ -248,6 +247,9 @@ func (e *Engine) redistribute(src *sim.IndexedHeap) {
 // active — reroutes and stalls keep a flow on its home heap, and the
 // FlowID-recycling free list never changes a slot's owner mid-flight.
 func (e *Engine) homeOf(id FlowID) int {
+	if e.sh.homeOfNode == nil {
+		return 0 // one shard
+	}
 	return int(e.sh.homeOfNode[e.net.flows[id].Src])
 }
 
@@ -309,8 +311,8 @@ func (e *Engine) collectShardDue(i int) {
 	}
 }
 
-// collectDue gathers every flow due by tNext into e.done in the order
-// one heap over all flows would pop them. Each shard pops its heap while
+// collectDue returns every flow due by tNext, marked finished, in the
+// order one heap over all flows would pop them. Each shard pops its heap while
 // the due predicate passes and records the first (key, id) that fails;
 // the globally first failure — the lexicographic minimum across shards
 // — is where that single heap would have stopped, because every element
@@ -321,7 +323,7 @@ func (e *Engine) collectShardDue(i int) {
 // identical), and the survivors — merged and sorted by (key, id) — fix
 // the completion sequence, and with it the callback and FlowID-recycling
 // order, independently of the shard count.
-func (e *Engine) collectDue(tNext float64) {
+func (e *Engine) collectDue(tNext float64) []dueCand {
 	sh := e.sh
 	sh.busy = sh.busy[:0]
 	for i, s := range sh.shards {
@@ -332,9 +334,8 @@ func (e *Engine) collectDue(tNext float64) {
 	sh.dueT = tNext
 	e.runPhase((*Engine).collectShardDue)
 
-	e.done = e.done[:0]
 	if len(sh.busy) == 0 {
-		return
+		return nil
 	}
 	// One heap pops in (key, id) order and stops at its own first
 	// failure, so a lone busy shard's candidates are the sequence as is.
@@ -346,8 +347,8 @@ func (e *Engine) collectDue(tNext float64) {
 		f := &e.net.flows[c.id]
 		f.Remaining = 0
 		f.lastSet = tNext
-		e.done = append(e.done, FlowID(c.id))
 	}
+	return due
 }
 
 // mergeDue cuts every busy shard's candidates at the global stop,
@@ -517,15 +518,16 @@ func (sh *shardedState) ensureClones(alloc Allocator) {
 // detached stalled flows seed their last known path, so the
 // concatenation of the parts is exactly the union of the components the
 // seeds touch. Component allocation slices e.ids per component, and the
-// allocator contract only requires each component ascending; the union
-// path sorts e.ids once to hand the whole union to one AllocateScoped.
+// allocator contract only requires each component ascending. With union
+// set, every seed feeds one traversal instead, so e.ids is the whole
+// union as a single part, sorted once, for one AllocateScoped call.
 //
 // Seed order is deterministic, so discovery order — and with it the
 // component list — is too. Component order across shards is free:
 // components share no links by construction, so AllocateScoped on one
 // is independent of every other, which the concurrent per-shard
 // allocation phase already relies on.
-func (e *Engine) splitDirty() {
+func (e *Engine) splitDirty(union bool) {
 	sh := e.sh
 	e.ids = e.ids[:0]
 	sh.compOff = sh.compOff[:0]
@@ -536,13 +538,16 @@ func (e *Engine) splitDirty() {
 	for len(e.flowSeen) < len(e.net.flows) {
 		e.flowSeen = append(e.flowSeen, 0)
 	}
+	e.stack = e.stack[:0]
 	for _, l := range e.seedLinks {
 		if e.linkSeen[l] == ep {
 			continue
 		}
 		e.linkSeen[l] = ep
-		e.stack = append(e.stack[:0], l)
-		e.growComponent(ep, len(e.ids))
+		e.stack = append(e.stack, l)
+		if !union {
+			e.growComponent(ep, len(e.ids))
+		}
 	}
 	for _, id := range e.seedFlows {
 		f := &e.net.flows[id]
@@ -552,14 +557,18 @@ func (e *Engine) splitDirty() {
 		start := len(e.ids)
 		e.flowSeen[id] = ep
 		e.ids = append(e.ids, id)
-		e.stack = e.stack[:0]
 		for _, l := range f.Path {
 			if e.linkSeen[l] != ep {
 				e.linkSeen[l] = ep
 				e.stack = append(e.stack, l)
 			}
 		}
-		e.growComponent(ep, start)
+		if !union {
+			e.growComponent(ep, start)
+		}
+	}
+	if union {
+		e.growComponent(ep, 0)
 	}
 	sh.compOff = append(sh.compOff, len(e.ids))
 }
