@@ -30,6 +30,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -412,6 +413,6 @@ func (c *Centralized) flushPendingLocked() error {
 	if len(due) == 0 {
 		return nil
 	}
-	sortLinkIDs(due)
+	slices.Sort(due)
 	return c.enforceBatchLocked(due)
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -664,7 +665,7 @@ func (c *Centralized) reclusterLocked() error {
 		ids = append(ids, id)
 	}
 	// Deterministic order for reproducible clustering.
-	sortAppIDs(ids)
+	slices.Sort(ids)
 	dim := 0
 	for _, id := range ids {
 		if len(c.apps[id].coeffs) > dim {
@@ -702,7 +703,7 @@ func (c *Centralized) enforceAllLocked() error {
 	for l := range c.ports {
 		ports = append(ports, l)
 	}
-	sortLinkIDs(ports)
+	slices.Sort(ports)
 	return c.enforceBatchLocked(ports)
 }
 
@@ -773,7 +774,7 @@ func (c *Centralized) computePortPlan(port topology.LinkID, sc *planScratch) (po
 	for id := range ps.appConns {
 		ids = append(ids, id)
 	}
-	sortAppIDs(ids)
+	slices.Sort(ids)
 	sc.ids = ids
 	key := appendAppSetKey(sc.key[:0], ids)
 	if ps.lastEpoch == c.solEpoch && string(ps.lastKey) == string(key) {
@@ -825,7 +826,7 @@ func (c *Centralized) buildPortConfig(ids []AppID, port topology.LinkID, queues 
 	for pl := range present {
 		presentPLs = append(presentPLs, pl)
 	}
-	sortInts(presentPLs)
+	slices.Sort(presentPLs)
 	clusters, errMap := c.hier.MapToQueues(presentPLs, queues)
 	if errMap != nil {
 		return netsim.PortConfig{}, fmt.Errorf("controller: PL→queue on port %d: %w", port, errMap)
@@ -1011,7 +1012,7 @@ func (c *Centralized) globalWeightsLocked() (map[AppID]float64, error) {
 	for id := range c.apps {
 		all = append(all, id)
 	}
-	sortAppIDs(all)
+	slices.Sort(all)
 	weights, err := c.solveWeights(all)
 	if err != nil {
 		return nil, fmt.Errorf("controller: global Eq.2: %w", err)
@@ -1037,20 +1038,4 @@ func appendVarint(b []byte, v uint64) []byte {
 		v >>= 7
 	}
 	return append(b, byte(v))
-}
-
-func sortAppIDs(ids []AppID) {
-	for i := 1; i < len(ids); i++ {
-		for k := i; k > 0 && ids[k] < ids[k-1]; k-- {
-			ids[k], ids[k-1] = ids[k-1], ids[k]
-		}
-	}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for k := i; k > 0 && xs[k] < xs[k-1]; k-- {
-			xs[k], xs[k-1] = xs[k-1], xs[k]
-		}
-	}
 }

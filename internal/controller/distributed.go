@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -603,7 +604,7 @@ func (d *Distributed) enforcePortLocked(port topology.LinkID) error {
 	for id := range ps.appConns {
 		ids = append(ids, id)
 	}
-	sortAppIDs(ids)
+	slices.Sort(ids)
 	queues := d.topo.QueuesAt(port)
 	if queues < 1 {
 		queues = 1
@@ -642,7 +643,7 @@ func (d *Distributed) buildPortConfig(ids []AppID, port topology.LinkID, queues 
 	for pl := range present {
 		presentPLs = append(presentPLs, pl)
 	}
-	sortInts(presentPLs)
+	slices.Sort(presentPLs)
 	clusters, err := d.db.Hierarchy().MapToQueues(presentPLs, queues)
 	if err != nil {
 		return netsim.PortConfig{}, fmt.Errorf("controller: shard %d PL→queue on port %d: %w", d.id, port, err)

@@ -2,7 +2,7 @@ package controller
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -182,7 +182,7 @@ func defaultQueue(qWeights []float64) int {
 func uniquePorts(path []topology.LinkID) []topology.LinkID {
 	ports := make([]topology.LinkID, 0, len(path))
 	ports = append(ports, path...)
-	sortLinkIDs(ports)
+	slices.Sort(ports)
 	out := ports[:0]
 	for i, p := range ports {
 		if i == 0 || p != ports[i-1] {
@@ -190,8 +190,4 @@ func uniquePorts(path []topology.LinkID) []topology.LinkID {
 		}
 	}
 	return out
-}
-
-func sortLinkIDs(ids []topology.LinkID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

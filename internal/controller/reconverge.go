@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"saba/internal/topology"
@@ -72,7 +73,7 @@ func (c *Centralized) reroutePortsLocked() error {
 	for cid := range c.conns {
 		cids = append(cids, cid)
 	}
-	sortConnIDs(cids)
+	slices.Sort(cids)
 	for _, cid := range cids {
 		conn := c.conns[cid]
 		path, err := c.cfg.Topology.Route(conn.src, conn.dst)
@@ -91,7 +92,7 @@ func (c *Centralized) reroutePortsLocked() error {
 			abandoned = append(abandoned, l)
 		}
 	}
-	sortLinkIDs(abandoned)
+	slices.Sort(abandoned)
 	for _, l := range abandoned {
 		deconfigure(c.cfg.Enforcer, l)
 	}
@@ -107,7 +108,7 @@ func (c *Centralized) degradeAllLocked() {
 	for l := range c.ports {
 		ports = append(ports, l)
 	}
-	sortLinkIDs(ports)
+	slices.Sort(ports)
 	for _, l := range ports {
 		deconfigure(c.cfg.Enforcer, l)
 	}
@@ -135,7 +136,7 @@ func (m *Mesh) TopologyChanged() error {
 	for cid := range m.conns {
 		cids = append(cids, cid)
 	}
-	sortConnIDs(cids)
+	slices.Sort(cids)
 	var firstErr error
 	for _, cid := range cids {
 		conn := m.conns[cid]
@@ -165,18 +166,10 @@ func (d *Distributed) resetPorts() {
 	for l := range d.ports {
 		ports = append(ports, l)
 	}
-	sortLinkIDs(ports)
+	slices.Sort(ports)
 	for _, l := range ports {
 		deconfigure(d.enforcer, l)
 	}
 	d.ports = map[topology.LinkID]*portState{}
 	d.gen++ // stale (app set, queues) solutions may reflect old capacity context
-}
-
-func sortConnIDs(ids []ConnID) {
-	for i := 1; i < len(ids); i++ {
-		for k := i; k > 0 && ids[k] < ids[k-1]; k-- {
-			ids[k], ids[k-1] = ids[k-1], ids[k]
-		}
-	}
 }

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -159,7 +160,7 @@ func TestTenantFloorsPreserveBudgetUnderLift(t *testing.T) {
 	sa, _, _ := c.Register("steep")
 	ma, _, _ := c.Register("mid1")
 	ids := []AppID{fa, sa, ma}
-	sortAppIDs(ids)
+	slices.Sort(ids)
 	weights, err := c.solveWeights(ids)
 	if err != nil {
 		t.Fatal(err)

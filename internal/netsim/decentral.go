@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"encoding/binary"
-	"math"
 	"sort"
 
 	"saba/internal/decentral"
@@ -66,7 +65,6 @@ type Decentral struct {
 	appEp   int64
 	keyBuf  []byte
 	links   []int // touched links this allocation
-	slack   []FlowID
 	sigBuf  []decentral.PortSignal
 
 	rounds      *telemetry.Counter // decentral.rounds
@@ -92,7 +90,7 @@ type portSol struct {
 func NewDecentral(net *Network, cfg DecentralConfig) *Decentral {
 	d := &Decentral{
 		par:       cfg.Params,
-		filler:    NewFiller(net),
+		filler:    newClassedFiller(net),
 		objs:      make(map[AppID]solver.Objective),
 		sols:      make(map[string]*portSol),
 		linkSol:   make([]*portSol, len(net.Topology().Links())),
@@ -184,32 +182,7 @@ func (d *Decentral) AllocateScoped(net *Network, ids []FlowID) bool {
 	cls := decentralClassifier{d}
 	d.filler.ResetFor(net, ids)
 	d.filler.Run(net, ids, cls)
-	const maxTopUps = 4
-	for pass := 0; pass < maxTopUps; pass++ {
-		slack := d.slack[:0]
-		for _, id := range ids {
-			f := &net.flows[id]
-			if !f.active || len(f.Path) == 0 {
-				continue
-			}
-			minResidual := math.Inf(1)
-			for _, l := range f.Path {
-				if r := d.filler.capRem[l]; r < minResidual {
-					minResidual = r
-				}
-			}
-			if minResidual > 1e-6 {
-				slack = append(slack, id)
-			}
-		}
-		d.slack = slack
-		if len(slack) == 0 {
-			break
-		}
-		d.filler.additive = true
-		d.filler.Run(net, slack, cls)
-		d.filler.additive = false
-	}
+	d.filler.topUp(net, ids, cls)
 
 	d.publish(net)
 	return true

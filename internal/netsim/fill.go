@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"saba/internal/topology"
@@ -84,6 +85,18 @@ type Filler struct {
 	mark     []int64   // per link: last freeze round that refreshed its key
 	affected []topology.LinkID
 
+	// A classed Run asks the Classifier once per touched link and once
+	// per (flow, hop), at registration, and the water-fill reads these
+	// records from then on. linkCls[l] is link l's class table for the
+	// run; posCls[l][j] is the class of the run flow at linkFlows[l][j]
+	// (stale for flows outside the run, which the inRun flag screens
+	// out). Allocated for classed Fillers only (newClassedFiller, or the
+	// first classed Run); the flat path never touches them.
+	linkCls [][]ClassSpec
+	posCls  [][]int32
+
+	slack []FlowID // top-up pass scratch
+
 	// additive makes fix() add to existing rates instead of overwriting —
 	// the WFQ top-up passes raise already-allocated flows using residual
 	// capacity.
@@ -104,17 +117,31 @@ func NewFiller(net *Network) *Filler {
 	}
 }
 
+// newClassedFiller creates a Filler for a discipline that runs classed
+// fills, with its class records allocated up front so that shard
+// clones share them (cloneScoped).
+func newClassedFiller(net *Network) *Filler {
+	fl := NewFiller(net)
+	fl.allocClassRecords()
+	return fl
+}
+
+func (fl *Filler) allocClassRecords() {
+	fl.linkCls = make([][]ClassSpec, len(fl.capRem))
+	fl.posCls = make([][]int32, len(fl.capRem))
+}
+
 // cloneScoped returns a Filler for concurrent scoped runs that SHARES
 // the parent's per-link arrays (capRem, sumW, cnt, cntFlat, inRun,
-// tidx, mark) and owns only the per-run compact scratch. Sharing is
-// safe because every concurrent caller operates on a distinct
-// link-connected component — two components share no link by
-// construction, so element writes to the per-link arrays never
-// collide — and pass freshness is tracked through globally unique
-// markEpoch values, so stale marks left by another clone can never
-// alias a live pass. This is what the sharded engine hands each
-// allocator clone (shard.go): clones cost O(1) memory instead of
-// re-allocating (and re-growing) seven link-sized arrays each.
+// tidx, mark, and the class records linkCls and posCls) and owns only
+// the per-run compact scratch. Sharing is safe because every
+// concurrent caller operates on a distinct link-connected component —
+// two components share no link by construction, so element writes to
+// the per-link arrays never collide — and pass freshness is tracked
+// through globally unique markEpoch values, so stale marks left by
+// another clone can never alias a live pass. This is what the sharded
+// engine hands each allocator clone (shard.go): clones cost O(1) memory
+// instead of re-allocating (and re-growing) the link-sized arrays each.
 func (fl *Filler) cloneScoped() *Filler {
 	return &Filler{
 		capRem:   fl.capRem,
@@ -124,6 +151,8 @@ func (fl *Filler) cloneScoped() *Filler {
 		inRun:    fl.inRun,
 		tidx:     fl.tidx,
 		mark:     fl.mark,
+		linkCls:  fl.linkCls,
+		posCls:   fl.posCls,
 		additive: fl.additive,
 	}
 }
@@ -169,7 +198,11 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 		fl.runFlat(net, ids)
 		return
 	}
-	// Register per-link class occupancy for this run.
+	if fl.posCls == nil {
+		fl.allocClassRecords()
+	}
+	// Register per-link class occupancy for this run, recording every
+	// class lookup the water-fill below needs.
 	fl.touched = fl.touched[:0]
 	fl.pending = fl.pending[:0]
 	for _, id := range ids {
@@ -192,12 +225,16 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 		}
 		f.inRun = true
 		fl.pending = append(fl.pending, id)
-		for _, l := range f.Path {
+		for k, l := range f.Path {
 			if !fl.inRun[l] {
 				fl.inRun[l] = true
 				fl.tidx[l] = int32(len(fl.touched))
 				fl.touched = append(fl.touched, l)
-				nc := len(cls.LinkClasses(l))
+				specs := cls.LinkClasses(l)
+				fl.linkCls[l] = specs
+				n := len(net.linkFlows[l])
+				fl.posCls[l] = slices.Grow(fl.posCls[l][:0], n)[:n]
+				nc := len(specs)
 				if cap(fl.cnt[l]) < nc {
 					fl.cnt[l] = make([]int32, nc)
 				} else {
@@ -207,11 +244,13 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 					}
 				}
 			}
-			fl.cnt[l][cls.FlowClass(f, l)] += int32(f.Mult)
+			c := cls.FlowClass(f, l)
+			fl.posCls[l][f.pathPos[k]] = int32(c)
+			fl.cnt[l][c] += int32(f.Mult)
 		}
 	}
 	for _, l := range fl.touched {
-		fl.sumW[l] = fl.demand(l, cls)
+		fl.sumW[l] = fl.demand(l)
 	}
 
 	// Generalized water-filling over (link, class) groups. A flow's
@@ -230,7 +269,7 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 	fl.keyv = fl.keyv[:0]
 	fl.bestc = fl.bestc[:0]
 	for _, l := range fl.touched {
-		key, q := fl.linkKey(l, cls)
+		key, q := fl.linkKey(l)
 		fl.keyv = append(fl.keyv, key)
 		fl.bestc = append(fl.bestc, int32(q))
 	}
@@ -247,12 +286,15 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 			break // no demand left (cannot happen while remaining > 0)
 		}
 		bl := fl.touched[ti]
-		bc := int(fl.bestc[ti])
+		bc := fl.bestc[ti]
 		// Collect then freeze the bottleneck class (fix mutates counters).
 		fl.freeze = fl.freeze[:0]
-		for _, fid := range net.linkFlows[bl] {
-			f := &net.flows[fid]
-			if f.active && f.inRun && cls.FlowClass(f, bl) == bc {
+		pc := fl.posCls[bl]
+		for j, fid := range net.linkFlows[bl] {
+			if pc[j] != bc {
+				continue
+			}
+			if f := &net.flows[fid]; f.active && f.inRun {
 				fl.freeze = append(fl.freeze, fid)
 			}
 		}
@@ -260,7 +302,7 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 		fl.affected = fl.affected[:0]
 		for _, fid := range fl.freeze {
 			f := &net.flows[fid]
-			fl.fix(f, best*float64(f.Mult), cls)
+			fl.fix(f, best*float64(f.Mult))
 			remaining--
 			for _, l := range f.Path {
 				if fl.mark[l] != ep {
@@ -274,7 +316,7 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 		}
 		for _, l := range fl.affected {
 			ati := int(fl.tidx[l])
-			key, q := fl.linkKey(l, cls)
+			key, q := fl.linkKey(l)
 			fl.keyv[ati], fl.bestc[ati] = key, int32(q)
 		}
 	}
@@ -287,6 +329,46 @@ func (fl *Filler) Run(net *Network, ids []FlowID, cls Classifier) {
 		for _, id := range fl.pending {
 			net.flows[id].inRun = false
 		}
+	}
+}
+
+// topUp makes a classed fill work-conserving. Freezing whole (link,
+// class) groups at their minimum entitlement can leave a queue below
+// capacity when its flows turn out to be bottlenecked elsewhere, so
+// after the main Run over ids, flows with residual capacity on every
+// link of their path re-enter additive fills over the residual
+// capacities until none can be raised (bounded passes; each strictly
+// consumes residual capacity). Residual capacity only shrinks across
+// passes, so a flow without slack never regains it: from the second
+// pass on only the previous pass's slack flows are rescanned, filtered
+// in place, which offers every pass exactly the flows a full rescan
+// would.
+func (fl *Filler) topUp(net *Network, ids []FlowID, cls Classifier) {
+	const maxTopUps = 4
+	cand := ids
+	for pass := 0; pass < maxTopUps; pass++ {
+		slack := fl.slack[:0]
+	scan:
+		for _, id := range cand {
+			f := &net.flows[id]
+			if !f.active || len(f.Path) == 0 {
+				continue
+			}
+			for _, l := range f.Path {
+				if fl.capRem[l] <= 1e-6 {
+					continue scan
+				}
+			}
+			slack = append(slack, id)
+		}
+		fl.slack = slack
+		if len(slack) == 0 {
+			return
+		}
+		fl.additive = true
+		fl.Run(net, slack, cls)
+		fl.additive = false
+		cand = slack
 	}
 }
 
@@ -415,21 +497,21 @@ func (fl *Filler) runFlat(net *Network, ids []FlowID) {
 
 // fix assigns the final rate to f and removes its demand from every link
 // it crosses, maintaining the weighted-demand sums incrementally.
-func (fl *Filler) fix(f *Flow, rate float64, cls Classifier) {
+func (fl *Filler) fix(f *Flow, rate float64) {
 	if fl.additive {
 		f.Rate += rate
 	} else {
 		f.Rate = rate
 	}
 	f.inRun = false
-	for _, l := range f.Path {
+	for k, l := range f.Path {
 		fl.capRem[l] -= rate
 		if fl.capRem[l] < 0 {
 			fl.capRem[l] = 0
 		}
-		c := cls.FlowClass(f, l)
+		c := fl.posCls[l][f.pathPos[k]]
 		fl.cnt[l][c] -= int32(f.Mult)
-		spec := cls.LinkClasses(l)[c]
+		spec := fl.linkCls[l][c]
 		if spec.PerFlow {
 			fl.sumW[l] -= spec.Weight * float64(f.Mult)
 		} else if fl.cnt[l][c] <= 0 {
@@ -442,7 +524,7 @@ func (fl *Filler) fix(f *Flow, rate float64, cls Classifier) {
 // class attaining it (ties prefer the lowest class, matching an
 // ascending scan), or (+Inf, -1) when the link has no unfixed demand —
 // the sentinel keeps spent links out of the bottleneck scan for free.
-func (fl *Filler) linkKey(l topology.LinkID, cls Classifier) (float64, int) {
+func (fl *Filler) linkKey(l topology.LinkID) (float64, int) {
 	w := fl.sumW[l]
 	if w <= 1e-12 {
 		return math.Inf(1), -1
@@ -452,7 +534,7 @@ func (fl *Filler) linkKey(l topology.LinkID, cls Classifier) (float64, int) {
 		c = 0
 	}
 	share := c / w
-	specs := cls.LinkClasses(l)
+	specs := fl.linkCls[l]
 	best := -1.0
 	bq := -1
 	for q, n := range fl.cnt[l] {
@@ -474,8 +556,8 @@ func (fl *Filler) linkKey(l topology.LinkID, cls Classifier) (float64, int) {
 }
 
 // demand returns the weighted demand of unfixed run-flows at link l.
-func (fl *Filler) demand(l topology.LinkID, cls Classifier) float64 {
-	specs := cls.LinkClasses(l)
+func (fl *Filler) demand(l topology.LinkID) float64 {
+	specs := fl.linkCls[l]
 	w := 0.0
 	for c, n := range fl.cnt[l] {
 		if n <= 0 {

@@ -8,12 +8,15 @@ import (
 	"saba/internal/topology"
 )
 
-// flipClassifier registers flows under class 0 but reports class 1 on
-// every later query — an intentionally inconsistent classifier that makes
-// the bottleneck class come up empty at freeze time. Run must detect the
-// empty freeze set and bail out instead of spinning.
+// flipClassifier answers class 0 the first time it is asked about a
+// flow and class 1 on every later query — an intentionally inconsistent
+// classifier. Run asks about each (flow, hop) once, at registration, and
+// works from its own records afterwards, so the answers a flow got on
+// its hops stay consistent through the fill however the classifier
+// changes its mind.
 type flipClassifier struct {
-	seen map[FlowID]bool
+	seen    map[FlowID]bool
+	queries int
 }
 
 func (c *flipClassifier) LinkClasses(topology.LinkID) []ClassSpec {
@@ -21,6 +24,7 @@ func (c *flipClassifier) LinkClasses(topology.LinkID) []ClassSpec {
 }
 
 func (c *flipClassifier) FlowClass(f *Flow, l topology.LinkID) int {
+	c.queries++
 	if !c.seen[f.ID] {
 		c.seen[f.ID] = true
 		return 0
@@ -29,30 +33,53 @@ func (c *flipClassifier) FlowClass(f *Flow, l topology.LinkID) int {
 }
 
 func TestFillerRunEmptyFreezeBreaks(t *testing.T) {
-	net, hosts := testbed(t, 2)
-	id, err := net.AddFlow(0, FlowSpec{Src: hosts[0], Dst: hosts[1], Bits: 1000})
-	if err != nil {
-		t.Fatal(err)
+	net, hosts := testbed(t, 4)
+	var ids []FlowID
+	hops := 0
+	for i := 0; i < 3; i++ {
+		id, err := net.AddFlow(0, FlowSpec{Src: hosts[i], Dst: hosts[3], Bits: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		f, _ := net.Flow(id)
+		hops += len(f.Path)
 	}
 	fl := NewFiller(net)
 	fl.Reset(net)
 	cls := &flipClassifier{seen: map[FlowID]bool{}}
 	done := make(chan struct{})
 	go func() {
-		fl.Run(net, []FlowID{id}, cls)
+		fl.Run(net, ids, cls)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run spun on an empty freeze set")
+		t.Fatal("Run spun under a flipping classifier")
 	}
-	f, _ := net.Flow(id)
-	if f.inRun {
-		t.Error("flow left marked inRun after aborted Run")
+	if cls.queries != hops {
+		t.Errorf("classifier asked %d times, want once per hop (%d)", cls.queries, hops)
 	}
-	if f.Rate != 0 {
-		t.Errorf("aborted Run fixed a rate: %g", f.Rate)
+	// Every flow is per-flow max-min on a shared downlink of 100: a
+	// third each, whatever classes the flows were given.
+	load := map[topology.LinkID]float64{}
+	for _, id := range ids {
+		f, _ := net.Flow(id)
+		if f.inRun {
+			t.Errorf("flow %d left marked inRun", id)
+		}
+		if math.Abs(f.Rate-100.0/3) > 1e-9 {
+			t.Errorf("flow %d: rate %g, want 100/3", id, f.Rate)
+		}
+		for _, l := range f.Path {
+			load[l] += f.Rate
+		}
+	}
+	for l, r := range load {
+		if r > net.Capacity(l)+1e-9 {
+			t.Errorf("link %d carries %g over capacity %g", l, r, net.Capacity(l))
+		}
 	}
 }
 

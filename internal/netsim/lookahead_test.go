@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -197,7 +198,10 @@ func TestShardGaugesDrainOnRetire(t *testing.T) {
 
 // Satellite regression: splitDirty must be allocation-free at steady
 // state — the scratch (component arrays, seen marks, stack) is grown
-// once and reused for the run's remaining recomputes.
+// once and reused for the run's remaining recomputes. The fabric case
+// covers per-component and sparse-union expansion; the single-switch
+// case, whose one component holds every flow, covers the dense union's
+// flow-mark sweep.
 func TestSplitDirtySteadyStateAllocFree(t *testing.T) {
 	top := diffFabric(t)
 	net := NewNetwork(top)
@@ -230,5 +234,32 @@ func TestSplitDirtySteadyStateAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("splitDirty(union=%v) allocates %v times per call at steady state, want 0", union, allocs)
 		}
+	}
+
+	sw, err := topology.NewSingleSwitch(topology.SingleSwitchConfig{Hosts: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net = NewNetwork(sw)
+	e = NewEngine(net, NewIdealMaxMin(net))
+	e.SetTelemetry(telemetry.NewRegistry())
+	hosts = sw.Hosts()
+	for i := 0; i < 64; i++ {
+		if _, err := e.AddFlow(FlowSpec{Src: hosts[i%16], Dst: hosts[(i*7+3)%16], Bits: 1e9}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	link := net.flows[0].Path[0]
+	e.seedLinks = append(e.seedLinks[:0], link)
+	e.splitDirty(true)
+	if n := len(e.ids); n != net.NumActive() || n*bits.Len(uint(n)) < len(net.flows) {
+		t.Fatalf("single-switch union holds %d of %d flows; want a dense union of all", n, net.NumActive())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.seedLinks = append(e.seedLinks[:0], link)
+		e.splitDirty(true)
+	})
+	if allocs != 0 {
+		t.Fatalf("dense splitDirty(union=true) allocates %v times per call at steady state, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strconv"
@@ -520,7 +521,12 @@ func (sh *shardedState) ensureClones(alloc Allocator) {
 // seeds touch. Component allocation slices e.ids per component, and the
 // allocator contract only requires each component ascending. With union
 // set, every seed feeds one traversal instead, so e.ids is the whole
-// union as a single part, sorted once, for one AllocateScoped call.
+// union as a single ascending part for one AllocateScoped call. A dense
+// union — n members with n·log2(n) at least the flow-slot count, as on
+// a single switch where every flow shares one component — is emitted by
+// sweeping flowSeen for the traversal's epoch instead of sorting: every
+// member, and only a member, carries it. The sweep stays out of
+// lookahead windows, whose concurrent traversals write flowSeen.
 //
 // Seed order is deterministic, so discovery order — and with it the
 // component list — is too. Component order across shards is free:
@@ -567,19 +573,39 @@ func (e *Engine) splitDirty(union bool) {
 			e.growComponent(ep, start)
 		}
 	}
-	if union {
-		e.growComponent(ep, 0)
+	if union && e.drainLinks(ep) > 0 {
+		if n, nf := len(e.ids), len(e.net.flows); n*bits.Len(uint(n)) >= nf {
+			e.ids = e.ids[:0]
+			for id, mark := range e.flowSeen[:nf] {
+				if mark == ep {
+					e.ids = append(e.ids, FlowID(id))
+				}
+			}
+		} else {
+			slices.Sort(e.ids)
+		}
+		sh.compOff = append(sh.compOff, 0)
 	}
 	sh.compOff = append(sh.compOff, len(e.ids))
 }
 
 // growComponent drains the link stack into e.ids and closes out the
-// component that started at start (dropped when the seed reached no
-// flows). A method rather than a closure inside splitDirty: the closure
-// captured locals and escaped, costing one heap allocation per scoped
-// recompute on the hot path.
+// component that started at start, sorted (dropped when the seed reached
+// no flows). A method rather than a closure inside splitDirty: the
+// closure captured locals and escaped, costing one heap allocation per
+// scoped recompute on the hot path.
 func (e *Engine) growComponent(ep int64, start int) {
-	sh := e.sh
+	e.drainLinks(ep)
+	if len(e.ids) > start {
+		slices.Sort(e.ids[start:])
+		e.sh.compOff = append(e.sh.compOff, start)
+	}
+}
+
+// drainLinks pops the link stack until empty, appending every flow on a
+// popped link not yet marked for epoch ep to e.ids (marking it and
+// pushing its unseen links), and returns len(e.ids).
+func (e *Engine) drainLinks(ep int64) int {
 	for len(e.stack) > 0 {
 		l := e.stack[len(e.stack)-1]
 		e.stack = e.stack[:len(e.stack)-1]
@@ -597,8 +623,5 @@ func (e *Engine) growComponent(ep int64, start int) {
 			}
 		}
 	}
-	if len(e.ids) > start {
-		slices.Sort(e.ids[start:])
-		sh.compOff = append(sh.compOff, start)
-	}
+	return len(e.ids)
 }

@@ -2,6 +2,9 @@ package netsim
 
 import (
 	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"saba/internal/telemetry"
@@ -190,5 +193,154 @@ func TestShardOwnershipFollowsSourcePod(t *testing.T) {
 		if !e.sh.shards[want].completions.Contains(int(id)) {
 			t.Errorf("flow %d (src pod %d) not on its home shard heap", id, want)
 		}
+	}
+}
+
+// splitDirty(true) must return exactly the ascending union of the
+// components its seeds touch, whether it emits a dense union by
+// sweeping the flow marks or sorts a sparse one. The populations mix
+// recycled FlowIDs, loopback flows (no links) and stalled flows (no
+// links, reachable only as seed flows) on two fabrics: a single switch,
+// where one seed reaches nearly every flow, and a spine-leaf fabric with
+// mostly rack-local traffic, where seeds reach small components.
+func TestSplitDirtyUnionIsSortedUnion(t *testing.T) {
+	branches := map[bool]int{} // dense → count
+	for _, topo := range []string{"switch", "spineleaf"} {
+		for seed := int64(1); seed <= 40; seed++ {
+			var top *topology.Topology
+			var err error
+			if topo == "switch" {
+				top, err = topology.NewSingleSwitch(topology.SingleSwitchConfig{Hosts: 12})
+			} else {
+				top = diffFabric(t)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := NewNetwork(top)
+			e := NewEngine(net, NewIdealMaxMin(net))
+			e.SetTelemetry(telemetry.NewRegistry())
+			rng := rand.New(rand.NewSource(seed))
+			hosts := top.Hosts()
+			var live []FlowID
+			add := func() {
+				src := rng.Intn(len(hosts))
+				dst := rng.Intn(len(hosts))
+				switch {
+				case rng.Intn(8) == 0:
+					dst = src // loopback
+				case topo == "spineleaf" && rng.Intn(6) > 0:
+					dst = src/4*4 + rng.Intn(4) // same rack
+				}
+				id, err := net.AddFlow(0, FlowSpec{Src: hosts[src], Dst: hosts[dst], Bits: 1e6})
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
+			}
+			for i := 0; i < 5+rng.Intn(40); i++ {
+				add()
+			}
+			for i := 0; i < len(live)/3; i++ { // free some slots, then recycle them
+				k := rng.Intn(len(live))
+				if err := net.RemoveFlow(live[k]); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:k], live[k+1:]...)
+			}
+			for i := 0; i < rng.Intn(10); i++ {
+				add()
+			}
+			// Stall one host's flows: admitted while its uplink is down.
+			up := hostUplink(t, top, hosts[0])
+			if _, err := top.FailLink(up); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				id, err := net.AddFlow(0, FlowSpec{Src: hosts[0], Dst: hosts[1+i], Bits: 1e6})
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
+			}
+			if _, err := top.RestoreLink(up); err != nil {
+				t.Fatal(err)
+			}
+
+			links := top.Links()
+			e.seedLinks = e.seedLinks[:0]
+			e.seedFlows = e.seedFlows[:0]
+			for i := 0; i < rng.Intn(4); i++ {
+				e.seedLinks = append(e.seedLinks, links[rng.Intn(len(links))].ID)
+			}
+			for i := 0; i < rng.Intn(4); i++ {
+				e.seedFlows = append(e.seedFlows, live[rng.Intn(len(live))])
+			}
+			if rng.Intn(4) == 0 {
+				// A cancelled seed flow whose slot was not recycled.
+				id := live[rng.Intn(len(live))]
+				if err := net.RemoveFlow(id); err != nil {
+					t.Fatal(err)
+				}
+				e.seedFlows = append(e.seedFlows, id)
+			}
+			var want []FlowID
+			for _, c := range goldenComponents(net, e.seedLinks, e.seedFlows) {
+				want = append(want, c...)
+			}
+			slices.Sort(want)
+
+			e.splitDirty(true)
+			if !slices.Equal(e.ids, want) {
+				t.Fatalf("%s seed %d: union %v, want %v", topo, seed, e.ids, want)
+			}
+			wantOff := []int{len(want)}
+			if len(want) > 0 {
+				wantOff = []int{0, len(want)}
+			}
+			if !slices.Equal(e.sh.compOff, wantOff) {
+				t.Fatalf("%s seed %d: compOff %v, want %v", topo, seed, e.sh.compOff, wantOff)
+			}
+			if n := len(want); n > 0 {
+				branches[n*bits.Len(uint(n)) >= len(net.flows)]++
+			}
+		}
+	}
+	if branches[true] == 0 || branches[false] == 0 {
+		t.Fatalf("dense/sparse unions exercised %d/%d times; want both", branches[true], branches[false])
+	}
+}
+
+// BenchmarkSplitDirtyDense times the union expansion of one dense
+// component: one 32-host switch carrying about 250 flows, seeded by one
+// link, the shape of every recompute on the testbed.
+func BenchmarkSplitDirtyDense(b *testing.B) {
+	top, err := topology.NewSingleSwitch(topology.SingleSwitchConfig{Hosts: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := NewNetwork(top)
+	e := NewEngine(net, NewIdealMaxMin(net))
+	e.SetTelemetry(telemetry.NewRegistry())
+	rng := rand.New(rand.NewSource(1))
+	hs := top.Hosts()
+	for net.NumActive() < 250 {
+		s, d := hs[rng.Intn(32)], hs[rng.Intn(32)]
+		if s == d {
+			continue
+		}
+		if _, err := net.AddFlow(0, FlowSpec{Src: s, Dst: d, Bits: 1e9}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	seed := net.flows[0].Path[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.seedLinks = append(e.seedLinks[:0], seed)
+		e.splitDirty(true)
+	}
+	if len(e.ids) != 250 {
+		b.Fatalf("union has %d flows, want 250", len(e.ids))
 	}
 }

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 
 	"saba/internal/telemetry"
 	"saba/internal/topology"
@@ -52,7 +51,6 @@ func (p *PortConfig) validate() error {
 type WFQ struct {
 	filler *Filler
 	ports  []*PortConfig // dense, indexed by LinkID; nil = unconfigured
-	slack  []FlowID      // top-up pass scratch
 
 	portsConfigured   *telemetry.Counter // netsim.ports_configured
 	portsDeconfigured *telemetry.Counter // netsim.ports_deconfigured
@@ -61,7 +59,7 @@ type WFQ struct {
 // NewWFQ creates the WFQ allocator with an initially empty configuration.
 func NewWFQ(net *Network) *WFQ {
 	w := &WFQ{
-		filler: NewFiller(net),
+		filler: newClassedFiller(net),
 		ports:  make([]*PortConfig, len(net.Topology().Links())),
 	}
 	w.SetTelemetry(telemetry.Default)
@@ -147,43 +145,17 @@ func (w *WFQ) Allocate(net *Network) {
 // at their minimum entitlement; in a multi-hop hierarchy a queue frozen
 // early can be left below capacity when another queue's flows turn out
 // to be bottlenecked elsewhere. True WFQ is work-conserving, so the
-// allocation runs top-up passes: flows with slack on every link of their
-// path re-enter a supplemental fill over the residual capacities until
-// no flow can be raised (bounded passes; each strictly consumes residual
-// capacity). Both the fill and the top-ups read only links crossed by
+// allocation runs top-up passes (Filler.topUp): flows with slack on
+// every link of their path re-enter a supplemental fill over the
+// residual capacities until no flow can be raised. Both the fill and
+// the top-ups read only links crossed by
 // ids, and a dirty component owns its links outright, so scoping
 // reproduces the global result.
 func (w *WFQ) AllocateScoped(net *Network, ids []FlowID) bool {
 	cls := wfqClassifier{w}
 	w.filler.ResetFor(net, ids)
 	w.filler.Run(net, ids, cls)
-
-	const maxTopUps = 4
-	for pass := 0; pass < maxTopUps; pass++ {
-		slack := w.slack[:0]
-		for _, id := range ids {
-			f := &net.flows[id]
-			if !f.active || len(f.Path) == 0 {
-				continue
-			}
-			minResidual := math.Inf(1)
-			for _, l := range f.Path {
-				if r := w.filler.capRem[l]; r < minResidual {
-					minResidual = r
-				}
-			}
-			if minResidual > 1e-6 {
-				slack = append(slack, id)
-			}
-		}
-		w.slack = slack
-		if len(slack) == 0 {
-			return true
-		}
-		w.filler.additive = true
-		w.filler.Run(net, slack, cls)
-		w.filler.additive = false
-	}
+	w.filler.topUp(net, ids, cls)
 	return true
 }
 
